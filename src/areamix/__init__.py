@@ -15,8 +15,9 @@ small-area predictions:
 
 Submodules group the pieces: ``tabulation`` (ingest and transforms),
 ``spatial`` (adjacency), ``basis`` (spatial basis), ``msm`` / ``mixture``
-/ ``fh`` (samplers), ``diagnostics``, ``simulate`` (perturbation
-studies), ``synthetic`` (toy truths), and ``cli``.
+/ ``fh`` (samplers), ``models`` (the model table), ``diagnostics``,
+``simulate`` (perturbation studies), ``synthetic`` (toy truths), and
+``cli``.
 """
 
 from .basis import (

@@ -25,7 +25,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,9 +49,10 @@ from .errors import (
     ShapeError,
     UnknownAreaError,
 )
-from .fh import FhConfig, fit_fh
-from .mixture import MixtureConfig, fit_msmm_dp, fit_msmm_truncated
-from .msm import MsmConfig, fit_msm
+from .fh import fit_fh
+from .mixture import fit_msmm_dp, fit_msmm_truncated
+from .models import MODELS, Model, check_models
+from .msm import fit_msm
 from .simulate import StudyConfig, run_study, write_study_csv, write_study_summary_csv
 from .spatial import build_adjacency, expand_multivariate, icar_precision, read_edge_list
 from .tabulation import (
@@ -99,13 +100,6 @@ CONFIG_SPEC: dict[str, tuple[str, object]] = {
     "col_count": ("str", None),
     "col_std_err": ("str", None),
     "col_sample_size": ("str", None),
-}
-
-# iteration defaults depend on the model: the mixture runs longer
-MODEL_ITERATION_DEFAULTS = {
-    "msmm": (10000, 5000),
-    "msm": (5000, 1000),
-    "fh": (5000, 1000),
 }
 
 N_TRACKED_ENTRIES = 5
@@ -190,7 +184,7 @@ def _write_manifest(
 
 
 def _load_pipeline(config: dict):
-    """Common ingest: table -> imputed log table, design, adjacency, Q."""
+    """Common ingest: table -> imputed log table, design, area adjacency."""
     _require(config, ["tabulation", "adjacency", "population"])
     table = load_tabulation(config["tabulation"], columns=_column_overrides(config))
     log_table = log_transform(table)
@@ -200,12 +194,12 @@ def _load_pipeline(config: dict):
     x, names = build_design(log_table, population)
     edges = read_edge_list(config["adjacency"])
     w = build_adjacency(log_table.areas, edges)
+    return log_table, x, names, w
+
+
+def _get_basis(config: dict, log_table, x, w):
+    """The basis over the entry-level adjacency W (x) J_L, from the cache if present."""
     a = expand_multivariate(w, log_table.n_cells)
-    q = icar_precision(a)
-    return log_table, x, names, a, q
-
-
-def _get_basis(config: dict, x, a, q):
     fraction = None if config["basis_r"] is not None else config["basis_fraction"]
     cache_dir = config["basis_cache"]
     key = basis_cache_key(x, a)
@@ -213,48 +207,33 @@ def _get_basis(config: dict, x, a, q):
         cached = load_basis(cache_dir, key)
         if cached is not None:
             return cached, key, True
-    basis = build_basis(x, a, q=q, fraction=fraction, r=config["basis_r"])
+    basis = build_basis(x, a, q=icar_precision(a), fraction=fraction, r=config["basis_r"])
     if cache_dir:
         save_basis(basis, cache_dir, key)
     return basis, key, False
 
 
-def _model_config(config: dict, model: str):
-    iters, burn = MODEL_ITERATION_DEFAULTS[model]
-    iterations = config["iterations"] if config["iterations"] is not None else iters
-    burn_in = config["burn_in"] if config["burn_in"] is not None else burn
-    common = dict(iterations=iterations, burn_in=burn_in, thin=config["thin"], seed=config["seed"])
-    try:
-        if model == "msm":
-            cfg = MsmConfig(
-                sigma2_beta=config["sigma2_beta"],
-                a_eta=config["a_eta"],
-                b_eta=config["b_eta"],
-                **common,
-            )
-        elif model == "fh":
-            cfg = FhConfig(
-                sigma2_beta=config["sigma2_beta"],
-                a_sigma=config["a_sigma"],
-                b_sigma=config["b_sigma"],
-                **common,
-            )
-        elif model == "msmm":
-            cfg = MixtureConfig(
-                sigma2_beta=config["sigma2_beta"],
-                a_eta=config["a_eta"],
-                b_eta=config["b_eta"],
-                a_alpha=config["a_alpha"],
-                b_alpha=config["b_alpha"],
-                truncation_m=config["truncation_m"],
-                **common,
-            )
-        else:
-            raise ConfigError(f"unknown model {config['model']!r}")
-        cfg.validate()
-    except DomainError as exc:
-        raise ConfigError(f"invalid sampler settings: {exc}") from None
+def _model_config(config: dict, model: Model):
+    """The model's sampler config from every config key that names one of its fields."""
+    values = {f.name: config[f.name] for f in fields(model.config_class) if f.name in CONFIG_SPEC}
+    for key, default in (("iterations", model.iterations), ("burn_in", model.burn_in)):
+        if values[key] is None:
+            values[key] = default
+    cfg = model.config_class(**values)
+    cfg.validate()
     return cfg
+
+
+def _fit_settings(config: dict):
+    """Model and sampler config of a fit, checked before any input is read."""
+    if config["chains"] < 1:
+        raise ConfigError("chains must be >= 1")
+    try:
+        check_models([config["model"]], config["algorithm"])
+        model = MODELS[config["model"]]
+        return model, _model_config(config, model)
+    except DomainError as exc:
+        raise ConfigError(f"invalid fit settings: {exc}") from None
 
 
 def _fit_one_chain(model: str, algorithm: str, z, d, x, basis, cfg):
@@ -280,36 +259,16 @@ def _entry_name(log_table, flat: int) -> str:
     return f"y_{area}_{cell}"
 
 
-def _scalar_series(model: str, fit) -> dict[str, np.ndarray]:
-    if model == "msm":
-        return {"sigma2_eta": fit.sigma2_eta}
-    if model == "fh":
-        return {"sigma2": fit.sigma2}
-    return {
-        "alpha": fit.alpha,
-        "sigma2_eta": fit.sigma2_eta,
-        "n_clusters": fit.n_clusters.astype(float),
-    }
-
-
 def cmd_fit(config: dict, out_dir: Path) -> list[str]:
-    log_table, x, _, a, q = _load_pipeline(config)
-    model = config["model"]
-    if model not in MODEL_ITERATION_DEFAULTS:
-        raise ConfigError(f"model must be one of msm|msmm|fh, got {model!r}")
-    if config["algorithm"] not in ("dp", "truncated"):
-        raise ConfigError("algorithm must be 'dp' or 'truncated'")
-    if config["chains"] < 1:
-        raise ConfigError("chains must be >= 1")
-    basis = None
-    if model != "fh":
-        basis, _, _ = _get_basis(config, x, a, q)
-    cfg = _model_config(config, model)
+    model, cfg = _fit_settings(config)
+    log_table, x, _, w = _load_pipeline(config)
+    basis = _get_basis(config, log_table, x, w)[0] if model.needs_basis else None
 
+    z, d = log_table.z, log_table.d
     fits = []
     for chain in range(config["chains"]):
         chain_cfg = replace(cfg, seed=derive_seed(config["seed"], chain))
-        fits.append(_fit_one_chain(model, config["algorithm"], log_table.z, log_table.d, x, basis, chain_cfg))
+        fits.append(_fit_one_chain(model.name, config["algorithm"], z, d, x, basis, chain_cfg))
 
     y_all = np.vstack([fit.y for fit in fits])
     summary = predict_summaries(y_all)
@@ -319,7 +278,7 @@ def cmd_fit(config: dict, out_dir: Path) -> list[str]:
     entries = _tracked_entries(config, log_table)
     param_chains: dict[str, list[np.ndarray]] = {}
     for fit in fits:
-        for name, series in _scalar_series(model, fit).items():
+        for name, series in model.scalar_series(fit).items():
             param_chains.setdefault(name, []).append(series)
         for flat in entries:
             param_chains.setdefault(_entry_name(log_table, flat), []).append(fit.y[:, flat])
@@ -334,13 +293,11 @@ def cmd_fit(config: dict, out_dir: Path) -> list[str]:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["chain", "iteration", "parameter", "value"])
             for chain, fit in enumerate(fits):
-                series = dict(_scalar_series(model, fit))
+                series = model.scalar_series(fit)
                 for flat in entries:
                     series[_entry_name(log_table, flat)] = fit.y[:, flat]
                 for name in sorted(series):
-                    values = series[name]
-                    for slot, value in enumerate(values):
-                        iteration = cfg.burn_in + slot * cfg.thin
+                    for iteration, value in zip(cfg.retained(), series[name]):
                         writer.writerow([chain, iteration, name, format_value(float(value))])
         outputs.append("draws.csv")
 
@@ -355,10 +312,10 @@ def cmd_fit(config: dict, out_dir: Path) -> list[str]:
 
 
 def cmd_basis(config: dict, out_dir: Path) -> list[str]:
-    log_table, x, names, a, q = _load_pipeline(config)
+    log_table, x, names, w = _load_pipeline(config)
     cache_dir = config["basis_cache"] or str(out_dir)
     config = dict(config, basis_cache=cache_dir)
-    basis, key, from_cache = _get_basis(config, x, a, q)
+    basis, key, from_cache = _get_basis(config, log_table, x, w)
     cache_file = Path(cache_dir) / f"moran_{key[:16]}.npz"
     report = {
         "n": basis.n,
@@ -390,24 +347,24 @@ def cmd_basis(config: dict, out_dir: Path) -> list[str]:
 
 
 def cmd_simulate(config: dict, out_dir: Path) -> list[str]:
-    log_table, x, _, a, q = _load_pipeline(config)
-    basis, _, _ = _get_basis(config, x, a, q)
     models = tuple(m.strip() for m in config["models"].split(",") if m.strip())
     study_cfg = StudyConfig(
         replicates=config["replicates"],
         master_seed=config["seed"],
         models=models,
         msmm_algorithm=config["algorithm"],
-        msm=_model_config(config, "msm"),
-        msmm=_model_config(config, "msmm"),
-        fh=_model_config(config, "fh"),
         workers=config["workers"],
     )
     try:
         study_cfg.validate()
+        samplers = {name: _model_config(config, MODELS[name]) for name in models}
     except DomainError as exc:
         raise ConfigError(f"invalid study settings: {exc}") from None
-    result = run_study(log_table, x, basis, study_cfg)
+    log_table, x, _, w = _load_pipeline(config)
+    basis = None
+    if any(MODELS[name].needs_basis for name in models):
+        basis = _get_basis(config, log_table, x, w)[0]
+    result = run_study(log_table, x, basis, replace(study_cfg, **samplers))
     write_study_csv(result, out_dir / "study.csv")
     write_study_summary_csv(result, out_dir / "study_summary.csv")
     outputs = ["study.csv", "study_summary.csv"]

@@ -10,38 +10,30 @@ full conditional is conjugate, so the fit is a three-block Gibbs scan
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .errors import DivergenceError, DomainError, ShapeError
-from .msm import draw_inverse_gamma
+from .errors import DivergenceError
+from .msm import (
+    ChainConfig,
+    DrawRecorder,
+    _check_data,
+    _posterior_draw,
+    _posterior_mean,
+    draw_inverse_gamma,
+)
 
 
 @dataclass
-class FhConfig:
-    iterations: int = 5000
-    burn_in: int = 1000
-    thin: int = 1
-    seed: int = 0
+class FhConfig(ChainConfig):
     sigma2_beta: float = 100.0
     a_sigma: float = 0.1
     b_sigma: float = 0.1
     # Hold the effect variance fixed instead of sampling it (conjugacy checks).
     sigma2_fixed: float | None = None
 
-    def validate(self) -> None:
-        if self.iterations < 1 or self.burn_in < 0 or self.burn_in >= self.iterations:
-            raise DomainError("need 0 <= burn_in < iterations")
-        if self.thin < 1:
-            raise DomainError("thin must be >= 1")
-        if not (0 <= self.seed < 2**64):
-            raise DomainError("seed must be a 64-bit nonnegative integer")
-        for name in ("sigma2_beta", "a_sigma", "b_sigma"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive")
-        if self.sigma2_fixed is not None and self.sigma2_fixed <= 0:
-            raise DomainError("sigma2_fixed must be positive")
+    positive: ClassVar[tuple[str, ...]] = ("sigma2_beta", "a_sigma", "b_sigma", "sigma2_fixed")
 
 
 @dataclass(frozen=True)
@@ -67,19 +59,8 @@ def fit_fh(z, d, x, config: FhConfig | None = None) -> FhDraws:
     """
     config = config or FhConfig()
     config.validate()
-    z = np.asarray(z, dtype=float).ravel()
-    d = np.asarray(d, dtype=float).ravel()
-    x = np.asarray(x, dtype=float)
-    n = z.size
-    if d.shape != (n,):
-        raise ShapeError("z and d must have the same length")
-    if x.ndim != 2 or x.shape[0] != n:
-        raise ShapeError("design must be (n, p)")
-    if not np.all(np.isfinite(z)):
-        raise DomainError("z must be finite")
-    if not np.all(np.isfinite(d)) or np.any(d <= 0):
-        raise DomainError("all variances d must be finite and positive (impute first)")
-    p = x.shape[1]
+    z, d, x, _ = _check_data(z, d, x)
+    n, p = x.shape
 
     rng = np.random.default_rng(config.seed)
     xt_dinv = x.T / d
@@ -91,24 +72,14 @@ def fit_fh(z, d, x, config: FhConfig | None = None) -> FhDraws:
     nu = np.zeros(n)
     sigma2 = 1.0 if fixed is None else float(fixed)
 
-    keep = range(config.burn_in, config.iterations, config.thin)
-    n_keep = len(keep)
-    out_beta = np.empty((n_keep, p))
-    out_nu = np.empty((n_keep, n))
-    out_sigma2 = np.empty(n_keep)
-    out_y = np.empty((n_keep, n))
-
-    slot = 0
+    draws = DrawRecorder(config)
     for t in range(config.iterations):
         resid = z - x @ beta
         prec = 1.0 / d + 1.0 / sigma2
         mean_nu = (resid / d) / prec
         nu = mean_nu + rng.standard_normal(n) / np.sqrt(prec)
 
-        lin = xt_dinv @ (z - nu)
-        half = solve_triangular(chol_beta, lin, lower=True)
-        mean_b = solve_triangular(chol_beta.T, half, lower=False)
-        beta = mean_b + solve_triangular(chol_beta.T, rng.standard_normal(p), lower=False)
+        beta = _posterior_draw(rng, chol_beta, _posterior_mean(chol_beta, xt_dinv @ (z - nu)))
 
         if fixed is None:
             scale = config.b_sigma + float(nu @ nu) / 2.0
@@ -119,14 +90,10 @@ def fit_fh(z, d, x, config: FhConfig | None = None) -> FhDraws:
         if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(nu)) and np.isfinite(sigma2)):
             raise DivergenceError("non-finite draw", iteration=t)
 
-        if t >= config.burn_in and (t - config.burn_in) % config.thin == 0:
+        if draws.wants(t):
             y = x @ beta + nu
             if not np.all(np.isfinite(y)):
                 raise DivergenceError("non-finite latent field", iteration=t)
-            out_beta[slot] = beta
-            out_nu[slot] = nu
-            out_sigma2[slot] = sigma2
-            out_y[slot] = y
-            slot += 1
+            draws.record(beta=beta, nu=nu, sigma2=sigma2, y=y)
 
-    return FhDraws(beta=out_beta, nu=out_nu, sigma2=out_sigma2, y=out_y, seed=config.seed)
+    return FhDraws(**draws.columns, seed=config.seed)

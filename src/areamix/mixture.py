@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -31,7 +32,15 @@ from scipy.special import logsumexp
 
 from .basis import MoranBasis
 from .errors import DivergenceError, DomainError, ShapeError
-from .msm import _check_data, draw_inverse_gamma
+from .msm import (
+    ChainConfig,
+    DrawRecorder,
+    _check_data,
+    _cov_from_chol,
+    _posterior_draw,
+    _posterior_factor,
+    draw_inverse_gamma,
+)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _STICK_EPS = 1e-12  # keep drawn sticks strictly inside (0, 1)
@@ -142,13 +151,8 @@ def cluster_posterior(
     rows = u[members]
     weights = d[members]
     prec = base.prior_precision() + (rows / weights[:, None]).T @ rows
-    lin = rows.T @ (z[members] / weights)
-    chol = np.linalg.cholesky(prec)
-    half = solve_triangular(chol, lin, lower=True)
-    mean = solve_triangular(chol.T, half, lower=False)
-    inv_half = solve_triangular(chol, np.eye(base.dim), lower=True)
-    cov = inv_half.T @ inv_half
-    return mean, (cov + cov.T) / 2.0
+    chol, mean = _posterior_factor(prec, rows.T @ (z[members] / weights))
+    return mean, _cov_from_chol(chol)
 
 
 def crp_assignment_probs(
@@ -277,13 +281,9 @@ def canonicalize_labels(labels) -> np.ndarray:
 
 
 @dataclass
-class MixtureConfig:
+class MixtureConfig(ChainConfig):
     """Settings shared by both mixture samplers."""
 
-    iterations: int = 5000
-    burn_in: int = 1000
-    thin: int = 1
-    seed: int = 0
     sigma2_beta: float = 100.0
     a_eta: float = 0.1
     b_eta: float = 0.1
@@ -295,20 +295,14 @@ class MixtureConfig:
     prior_only: bool = False
     alpha_fixed: float | None = None
 
+    positive: ClassVar[tuple[str, ...]] = (
+        "sigma2_beta", "a_eta", "b_eta", "a_alpha", "b_alpha", "alpha_fixed"
+    )
+
     def validate(self) -> None:
-        if self.iterations < 1 or self.burn_in < 0 or self.burn_in >= self.iterations:
-            raise DomainError("need 0 <= burn_in < iterations")
-        if self.thin < 1:
-            raise DomainError("thin must be >= 1")
-        if not (0 <= self.seed < 2**64):
-            raise DomainError("seed must be a 64-bit nonnegative integer")
-        for name in ("sigma2_beta", "a_eta", "b_eta", "a_alpha", "b_alpha"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive")
+        super().validate()
         if self.truncation_m < 2:
             raise DomainError("truncation_m must be >= 2")
-        if self.alpha_fixed is not None and self.alpha_fixed <= 0:
-            raise DomainError("alpha_fixed must be positive")
 
 
 @dataclass(frozen=True)
@@ -358,13 +352,7 @@ class _ClusterStats:
 
     def refresh(self, prec0: np.ndarray) -> None:
         # factorisation recomputed from the accumulated stats; no downdating
-        self.chol = np.linalg.cholesky(prec0 + self.f)
-        half = solve_triangular(self.chol, self.g, lower=True)
-        self.mean = solve_triangular(self.chol.T, half, lower=False)
-
-
-def _retained_slots(config: MixtureConfig) -> range:
-    return range(config.burn_in, config.iterations, config.thin)
+        self.chol, self.mean = _posterior_factor(prec0 + self.f, self.g)
 
 
 def fit_msmm_dp(
@@ -398,19 +386,9 @@ def fit_msmm_dp(
     sigma2_eta = 1.0
     next_label = 1
 
-    keep = _retained_slots(config)
-    n_keep = len(keep)
-    out_y = np.zeros((n_keep, n))
-    out_alpha = np.empty(n_keep)
-    out_sigma2 = np.empty(n_keep)
-    out_k = np.empty(n_keep, dtype=np.int32)
-    out_assign = np.empty((n_keep, n), dtype=np.int32)
-
-    slot = 0
+    draws = DrawRecorder(config)
     for t in range(config.iterations):
-        prec0 = np.zeros((q, q))
-        prec0[:p, :p] = np.eye(p) / config.sigma2_beta
-        prec0[p:, p:] = k_inv / sigma2_eta
+        prec0 = BaseMeasure.from_basis(basis, p, config.sigma2_beta, sigma2_eta).prior_precision()
         log_alpha = math.log(alpha)
         new_var_base = config.sigma2_beta * xnorm2 + sigma2_eta * psi_k_psi + d
 
@@ -473,9 +451,7 @@ def fit_msmm_dp(
             for label, st in stats.items():
                 if st.chol is None:
                     st.refresh(prec0)
-                theta = st.mean + solve_triangular(
-                    st.chol.T, rng.standard_normal(q), lower=False
-                )
+                theta = _posterior_draw(rng, st.chol, st.mean)
                 if not np.all(np.isfinite(theta)):
                     raise DivergenceError("non-finite atom draw", iteration=t)
                 idx = np.flatnonzero(assignments == label)
@@ -496,22 +472,16 @@ def fit_msmm_dp(
         if not (np.isfinite(alpha) and np.isfinite(sigma2_eta) and np.all(np.isfinite(y))):
             raise DivergenceError("non-finite draw", iteration=t)
 
-        if t >= config.burn_in and (t - config.burn_in) % config.thin == 0:
-            out_y[slot] = y
-            out_alpha[slot] = alpha
-            out_sigma2[slot] = sigma2_eta
-            out_k[slot] = k
-            out_assign[slot] = canonicalize_labels(assignments)
-            slot += 1
+        if draws.wants(t):
+            draws.record(
+                y=y,
+                alpha=alpha,
+                sigma2_eta=sigma2_eta,
+                n_clusters=np.int32(k),
+                assignments=canonicalize_labels(assignments),
+            )
 
-    return MixturePosterior(
-        y=out_y,
-        alpha=out_alpha,
-        sigma2_eta=out_sigma2,
-        n_clusters=out_k,
-        assignments=out_assign,
-        seed=config.seed,
-    )
+    return MixturePosterior(**draws.columns, seed=config.seed)
 
 
 def fit_msmm_truncated(
@@ -546,15 +516,7 @@ def fit_msmm_truncated(
     pi = stick_break(v)
     log_d_term = -0.5 * (_LOG_2PI + np.log(d))
 
-    keep = _retained_slots(config)
-    n_keep = len(keep)
-    out_y = np.zeros((n_keep, n))
-    out_alpha = np.empty(n_keep)
-    out_sigma2 = np.empty(n_keep)
-    out_k = np.empty(n_keep, dtype=np.int32)
-    out_assign = np.empty((n_keep, n), dtype=np.int32)
-
-    slot = 0
+    draws = DrawRecorder(config)
     for t in range(config.iterations):
         with np.errstate(divide="ignore"):
             log_pi = np.log(pi)
@@ -576,26 +538,21 @@ def fit_msmm_truncated(
         v = np.clip(v, _STICK_EPS, 1.0 - _STICK_EPS)
         pi = stick_break(v)
 
-        prec0 = np.zeros((q, q))
-        prec0[:p, :p] = np.eye(p) / config.sigma2_beta
-        prec0[p:, p:] = k_inv / sigma2_eta
+        base = BaseMeasure.from_basis(basis, p, config.sigma2_beta, sigma2_eta)
+        prec0 = base.prior_precision()
         eta_quad = 0.0
         k_occ = 0
         for m in range(m_comp):
             idx = np.flatnonzero(c == m)
             if idx.size == 0:
-                head = math.sqrt(config.sigma2_beta) * rng.standard_normal(p)
-                tail_draw = math.sqrt(sigma2_eta) * (chol_k @ rng.standard_normal(r))
-                theta[m] = np.concatenate([head, tail_draw])
+                theta[m] = base.draw(rng, chol_k)
                 continue
             k_occ += 1
             rows = u[idx]
             weights = d[idx]
             prec = prec0 + (rows / weights[:, None]).T @ rows
-            chol = np.linalg.cholesky(prec)
-            half = solve_triangular(chol, rows.T @ (z[idx] / weights), lower=True)
-            mean = solve_triangular(chol.T, half, lower=False)
-            theta[m] = mean + solve_triangular(chol.T, rng.standard_normal(q), lower=False)
+            chol, mean = _posterior_factor(prec, rows.T @ (z[idx] / weights))
+            theta[m] = _posterior_draw(rng, chol, mean)
             eta = theta[m, p:]
             eta_quad += float(eta @ k_inv @ eta)
         if not np.all(np.isfinite(theta)):
@@ -615,19 +572,13 @@ def fit_msmm_truncated(
         if not (np.isfinite(alpha) and np.isfinite(sigma2_eta) and np.all(np.isfinite(y))):
             raise DivergenceError("non-finite draw", iteration=t)
 
-        if t >= config.burn_in and (t - config.burn_in) % config.thin == 0:
-            out_y[slot] = y
-            out_alpha[slot] = alpha
-            out_sigma2[slot] = sigma2_eta
-            out_k[slot] = k_occ
-            out_assign[slot] = canonicalize_labels(c)
-            slot += 1
+        if draws.wants(t):
+            draws.record(
+                y=y,
+                alpha=alpha,
+                sigma2_eta=sigma2_eta,
+                n_clusters=np.int32(k_occ),
+                assignments=canonicalize_labels(c),
+            )
 
-    return MixturePosterior(
-        y=out_y,
-        alpha=out_alpha,
-        sigma2_eta=out_sigma2,
-        n_clusters=out_k,
-        assignments=out_assign,
-        seed=config.seed,
-    )
+    return MixturePosterior(**draws.columns, seed=config.seed)

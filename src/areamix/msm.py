@@ -14,6 +14,7 @@ is a plain three-block Gibbs scan: beta, then eta, then sigma2_eta.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -23,19 +24,19 @@ from .errors import DivergenceError, DomainError, ShapeError
 
 
 @dataclass
-class MsmConfig:
-    """Sampler settings; hyperparameter defaults follow the reference fit."""
+class ChainConfig:
+    """Chain length, retention, and seed: what every sampler's settings share.
+
+    Subclasses name their strictly positive fields in ``positive``; a
+    field left at None (an optional pin) is not checked.
+    """
 
     iterations: int = 5000
     burn_in: int = 1000
     thin: int = 1
     seed: int = 0
-    sigma2_beta: float = 100.0
-    a_eta: float = 0.1
-    b_eta: float = 0.1
-    # Hold the basis-coefficient variance fixed instead of sampling it.
-    # Used by conjugacy checks where the Gaussian posterior is closed-form.
-    sigma2_eta_fixed: float | None = None
+
+    positive: ClassVar[tuple[str, ...]] = ()
 
     def validate(self) -> None:
         if self.iterations < 1 or self.burn_in < 0 or self.burn_in >= self.iterations:
@@ -44,11 +45,53 @@ class MsmConfig:
             raise DomainError("thin must be >= 1")
         if not (0 <= self.seed < 2**64):
             raise DomainError("seed must be a 64-bit nonnegative integer")
-        for name in ("sigma2_beta", "a_eta", "b_eta"):
-            if getattr(self, name) <= 0:
+        for name in self.positive:
+            value = getattr(self, name)
+            if value is not None and value <= 0:
                 raise DomainError(f"{name} must be positive")
-        if self.sigma2_eta_fixed is not None and self.sigma2_eta_fixed <= 0:
-            raise DomainError("sigma2_eta_fixed must be positive")
+
+    def retained(self) -> range:
+        """The sweeps whose draws are kept: burn_in onwards, every thin-th."""
+        return range(self.burn_in, self.iterations, self.thin)
+
+
+class DrawRecorder:
+    """The retained draws of one chain, one row per sweep of ``retained()``.
+
+    Each column is sized on the first ``record`` call from the value it
+    is given: numpy values keep their dtype, Python scalars are floats.
+    """
+
+    def __init__(self, config: ChainConfig):
+        self.keep = config.retained()
+        self.columns: dict[str, np.ndarray] = {}
+        self._slot = 0
+
+    def wants(self, t: int) -> bool:
+        return t in self.keep
+
+    def record(self, **values) -> None:
+        if not self.columns:
+            for name, value in values.items():
+                shape = (len(self.keep), *np.shape(value))
+                self.columns[name] = np.empty(shape, dtype=getattr(value, "dtype", float))
+        for name, value in values.items():
+            self.columns[name][self._slot] = value
+        self._slot += 1
+
+
+@dataclass
+class MsmConfig(ChainConfig):
+    """Sampler settings; hyperparameter defaults follow the reference fit."""
+
+    sigma2_beta: float = 100.0
+    a_eta: float = 0.1
+    b_eta: float = 0.1
+    # Hold the basis-coefficient variance fixed instead of sampling it.
+    # Used by conjugacy checks where the Gaussian posterior is closed-form.
+    sigma2_eta_fixed: float | None = None
+
+    positive: ClassVar[tuple[str, ...]] = ("sigma2_beta", "a_eta", "b_eta", "sigma2_eta_fixed")
 
 
 @dataclass(frozen=True)
@@ -66,18 +109,20 @@ class PosteriorDraws:
         return self.y.shape[0]
 
 
-def _check_data(z, d, x, psi) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _check_data(z, d, x, psi=None):
+    """Coerce and check (z, d, x) and, when given, the (n, r) basis psi."""
     z = np.asarray(z, dtype=float).ravel()
     d = np.asarray(d, dtype=float).ravel()
     x = np.asarray(x, dtype=float)
-    psi = np.asarray(psi, dtype=float)
     n = z.size
     if d.shape != (n,):
         raise ShapeError("z and d must have the same length")
     if x.ndim != 2 or x.shape[0] != n:
         raise ShapeError("design must be (n, p)")
-    if psi.ndim != 2 or psi.shape[0] != n:
-        raise ShapeError("basis must be (n, r)")
+    if psi is not None:
+        psi = np.asarray(psi, dtype=float)
+        if psi.ndim != 2 or psi.shape[0] != n:
+            raise ShapeError("basis must be (n, r)")
     if not np.all(np.isfinite(z)):
         raise DomainError("z must be finite")
     if not np.all(np.isfinite(d)) or np.any(d <= 0):
@@ -85,12 +130,21 @@ def _check_data(z, d, x, psi) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     return z, d, x, psi
 
 
+def _posterior_mean(chol: np.ndarray, lin: np.ndarray) -> np.ndarray:
+    """Posterior mean (L L')^{-1} lin from the Cholesky factor L of the precision."""
+    half = solve_triangular(chol, lin, lower=True)
+    return solve_triangular(chol.T, half, lower=False)
+
+
 def _posterior_factor(prec: np.ndarray, lin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cholesky of a posterior precision plus the posterior mean."""
     chol = np.linalg.cholesky(prec)
-    half = solve_triangular(chol, lin, lower=True)
-    mean = solve_triangular(chol.T, half, lower=False)
-    return chol, mean
+    return chol, _posterior_mean(chol, lin)
+
+
+def _posterior_draw(rng: np.random.Generator, chol: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """One draw from N(mean, (L L')^{-1}): mean + L'^{-1} e with e standard normal."""
+    return mean + solve_triangular(chol.T, rng.standard_normal(mean.size), lower=False)
 
 
 def _cov_from_chol(chol: np.ndarray) -> np.ndarray:
@@ -186,26 +240,14 @@ def fit_msm(z, d, x, basis: MoranBasis, config: MsmConfig | None = None) -> Post
     eta = np.zeros(r)
     sigma2_eta = 1.0 if fixed is None else float(fixed)
 
-    keep = range(config.burn_in, config.iterations, config.thin)
-    n_keep = len(keep)
-    out_beta = np.empty((n_keep, p))
-    out_eta = np.empty((n_keep, r))
-    out_sigma2 = np.empty(n_keep)
-    out_y = np.empty((n_keep, n))
-
-    slot = 0
+    draws = DrawRecorder(config)
     for t in range(config.iterations):
-        lin = xt_dinv @ (z - psi @ eta)
-        half = solve_triangular(chol_beta, lin, lower=True)
-        mean_b = solve_triangular(chol_beta.T, half, lower=False)
-        beta = mean_b + solve_triangular(chol_beta.T, rng.standard_normal(p), lower=False)
+        mean_beta = _posterior_mean(chol_beta, xt_dinv @ (z - psi @ eta))
+        beta = _posterior_draw(rng, chol_beta, mean_beta)
 
         prec_eta = prec_eta_data + k_inv / sigma2_eta
-        chol_eta = np.linalg.cholesky(prec_eta)
-        lin = psit_dinv @ (z - x @ beta)
-        half = solve_triangular(chol_eta, lin, lower=True)
-        mean_e = solve_triangular(chol_eta.T, half, lower=False)
-        eta = mean_e + solve_triangular(chol_eta.T, rng.standard_normal(r), lower=False)
+        chol_eta, mean_eta = _posterior_factor(prec_eta, psit_dinv @ (z - x @ beta))
+        eta = _posterior_draw(rng, chol_eta, mean_eta)
 
         if fixed is None:
             shape = config.a_eta + r / 2.0
@@ -217,20 +259,10 @@ def fit_msm(z, d, x, basis: MoranBasis, config: MsmConfig | None = None) -> Post
         if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(eta)) and np.isfinite(sigma2_eta)):
             raise DivergenceError("non-finite draw", iteration=t)
 
-        if t >= config.burn_in and (t - config.burn_in) % config.thin == 0:
+        if draws.wants(t):
             y = x @ beta + psi @ eta
             if not np.all(np.isfinite(y)):
                 raise DivergenceError("non-finite latent field", iteration=t)
-            out_beta[slot] = beta
-            out_eta[slot] = eta
-            out_sigma2[slot] = sigma2_eta
-            out_y[slot] = y
-            slot += 1
+            draws.record(beta=beta, eta=eta, sigma2_eta=sigma2_eta, y=y)
 
-    return PosteriorDraws(
-        beta=out_beta,
-        eta=out_eta,
-        sigma2_eta=out_sigma2,
-        y=out_y,
-        seed=config.seed,
-    )
+    return PosteriorDraws(**draws.columns, seed=config.seed)

@@ -20,10 +20,9 @@ from .basis import MoranBasis
 from .errors import DefinitenessError, DivergenceError, DomainError, ShapeError
 from .fh import FhConfig, fit_fh
 from .mixture import MixtureConfig, fit_msmm_dp, fit_msmm_truncated
+from .models import MODELS, check_models
 from .msm import MsmConfig, fit_msm
 from .util import derive_seed, format_value, rand_index
-
-MODEL_SEED_TAG = {"msm": 1, "msmm": 2, "fh": 3}
 
 
 def perturb(z, d, rng: np.random.Generator) -> np.ndarray:
@@ -82,11 +81,7 @@ class StudyConfig:
             raise DomainError("workers must be >= 1")
         if not self.models:
             raise DomainError("at least one model is required")
-        unknown = [m for m in self.models if m not in MODEL_SEED_TAG]
-        if unknown:
-            raise DomainError(f"unknown models: {unknown}")
-        if self.msmm_algorithm not in ("dp", "truncated"):
-            raise DomainError("msmm_algorithm must be 'dp' or 'truncated'")
+        check_models(self.models, self.msmm_algorithm)
         if not (0 <= self.master_seed < 2**64):
             raise DomainError("master_seed must be a 64-bit nonnegative integer")
 
@@ -129,13 +124,11 @@ class StudyResult:
 
 
 def _fit_model(model: str, z_rep, truth_d, x, basis, config: StudyConfig, seed: int):
+    cfg = replace(getattr(config, model), seed=seed)
     if model == "msm":
-        cfg = replace(config.msm, seed=seed)
         return fit_msm(z_rep, truth_d, x, basis, cfg)
     if model == "fh":
-        cfg = replace(config.fh, seed=seed)
         return fit_fh(z_rep, truth_d, x, cfg)
-    cfg = replace(config.msmm, seed=seed)
     fit = fit_msmm_dp if config.msmm_algorithm == "dp" else fit_msmm_truncated
     return fit(z_rep, truth_d, x, basis, cfg)
 
@@ -148,7 +141,7 @@ def _replicate_task(args) -> tuple[list, list, float | None]:
     failures: list = []
     rand_value: float | None = None
     for model in config.models:
-        seed = derive_seed(config.master_seed, rep, MODEL_SEED_TAG[model])
+        seed = derive_seed(config.master_seed, rep, MODELS[model].seed_tag)
         try:
             fit = _fit_model(model, z_rep, d, x, basis, config, seed)
         except (DivergenceError, DefinitenessError) as exc:
@@ -156,19 +149,22 @@ def _replicate_task(args) -> tuple[list, list, float | None]:
             continue
         pred = fit.y.mean(axis=0)  # scoring uses log-scale posterior means
         rows.append((rep, model, mab(pred, z_truth), amse(pred, z_truth)))
-        if model == "msmm" and config.reference_groups is not None:
+        draws = getattr(fit, "assignments", None)  # mixture fits carry partitions
+        if draws is not None and config.reference_groups is not None:
             ref = np.asarray(config.reference_groups).ravel()
-            draws = fit.assignments
             rand_value = float(
                 np.mean([rand_index(draws[t], ref) for t in range(draws.shape[0])])
             )
     return rows, failures, rand_value
 
 
-def run_study(truth, x, basis: MoranBasis, config: StudyConfig | None = None) -> StudyResult:
+def run_study(
+    truth, x, basis: MoranBasis | None, config: StudyConfig | None = None
+) -> StudyResult:
     """Run the full perturb-and-refit loop.
 
-    ``truth`` is a log-scale table (anything with ``.z`` and ``.d``).
+    ``truth`` is a log-scale table (anything with ``.z`` and ``.d``);
+    ``basis`` may be None when no requested model needs one.
     Replicates are independent and may run in a process pool; results
     are identical either way because every random stream is derived
     from (master_seed, replicate) and outputs are collected in

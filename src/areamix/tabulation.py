@@ -9,9 +9,9 @@ index of (area i, cell s) is i * L + (s - 1).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .errors import (
     SchemaError,
     ShapeError,
 )
-from .loess import LoessSmoother, loess_fit
+from .loess import loess_fit
 
 DEFAULT_COLUMNS = {
     "state": "state",
@@ -282,25 +282,6 @@ def gvf_impute(
         else log_table.sample_sizes.copy(),
         imputed=~defined,
     )
-
-
-def gvf_smoother(
-    log_table: LogTable,
-    predictor: np.ndarray | None = None,
-    span: float = 0.75,
-) -> LoessSmoother:
-    """The smoother gvf_impute would use, exposed for inspection."""
-    d = log_table.d
-    defined = np.isfinite(d)
-    if int(defined.sum()) < 5:
-        raise InsufficientDataError("need at least 5 defined variances to smooth")
-    if predictor is None:
-        if log_table.sample_sizes is not None:
-            predictor = np.log(log_table.sample_sizes)
-        else:
-            predictor = log_table.z
-    predictor = np.asarray(predictor, dtype=float).ravel()
-    return loess_fit(predictor[defined], d[defined], span=span)
 
 
 @dataclass(frozen=True)

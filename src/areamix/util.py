@@ -37,12 +37,12 @@ def sha256_file(path: str | Path) -> str:
 
 
 def format_value(value) -> str:
-    """Render a cell for CSV output: shortest round-trip floats, blank for NaN."""
+    """Render a cell for CSV output: shortest round-trip floats, blank for NaN, inf as inf."""
     if isinstance(value, (float, np.floating)):
         v = float(value)
         if math.isnan(v):
             return ""
-        if v == int(v) and abs(v) < 1e16:
+        if abs(v) < 1e16 and v == int(v):
             return str(int(v)) + ".0"
         return repr(v)
     return str(value)

@@ -1,9 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from areamix import ConfigError
+from areamix import ConfigError, cli, spatial
 from areamix.cli import main, read_config
 
 from conftest import write_csv
@@ -138,6 +139,25 @@ class TestDiagnoseCommand:
         capsys.readouterr()
         assert (out / "diagnostics.json").read_bytes() == (dout / "diagnostics.json").read_bytes()
 
+    def test_thinned_draw_dump(self, fixture10, tmp_path, capsys):
+        cfg = fit_config(fixture10, tmp_path, thin=3)  # iterations 160, burn_in 40
+        out = tmp_path / "fit"
+        assert main(["fit", str(cfg), "--out", str(out)]) == 0
+        with open(out / "draws.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        series: dict[tuple[str, str], list[int]] = {}
+        for row in rows:
+            series.setdefault((row["chain"], row["parameter"]), []).append(int(row["iteration"]))
+        assert {chain for chain, _ in series} == {"0", "1"}
+        for iterations in series.values():
+            assert iterations == list(range(40, 160, 3))
+
+        dcfg = write_csv(tmp_path / "d.cfg", f"draws = {out / 'draws.csv'}\n")
+        dout = tmp_path / "diag"
+        assert main(["diagnose", str(dcfg), "--out", str(dout)]) == 0
+        capsys.readouterr()
+        assert (out / "diagnostics.json").read_bytes() == (dout / "diagnostics.json").read_bytes()
+
     def test_malformed_draws(self, tmp_path, capsys):
         draws = write_csv(tmp_path / "draws.csv", "chain,step,name,value\n0,1,a,2.0\n")
         dcfg = write_csv(tmp_path / "d.cfg", f"draws = {draws}\n")
@@ -256,3 +276,83 @@ class TestManifest:
             assert digest == sha256_file(name)
         assert manifest["config"]["model"] == "fh"
         assert "config_sha256" in manifest
+
+
+def spy(monkeypatch, calls: list, module, name: str) -> None:
+    """Record each call of ``module.name`` in ``calls``, then run the real function."""
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+class TestSettingsBeforeInput:
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            dict(model="mystery"),
+            dict(algorithm="exact"),
+            dict(chains=0),
+            dict(burn_in=500),
+            dict(truncation_m=1),
+        ],
+        ids=["model", "algorithm", "chains", "burn_in", "truncation_m"],
+    )
+    def test_fit_setting_error_wins_over_bad_table(self, fixture10, tmp_path, capsys, setting):
+        # the table lacks std_err, a data error (exit 3) once it is read
+        bad = write_csv(tmp_path / "t.csv", "state,county,order,count\n19,001,1,4\n")
+        cfg = fit_config(fixture10, tmp_path, tabulation=bad, **setting)
+        assert main(["fit", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_simulate_unknown_model_reads_no_input(self, fixture10, tmp_path, monkeypatch, capsys):
+        calls: list = []
+        for name in ("load_tabulation", "expand_multivariate", "build_basis"):
+            spy(monkeypatch, calls, cli, name)
+        cfg = fit_config(fixture10, tmp_path, models="msm,nope", replicates=1)
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert "nope" in capsys.readouterr().err
+        assert calls == []
+
+
+class TestDenseMatricesOnDemand:
+    @pytest.fixture
+    def dense_calls(self, monkeypatch) -> list:
+        calls: list = []
+        spy(monkeypatch, calls, cli, "icar_precision")
+        spy(monkeypatch, calls, cli, "expand_multivariate")
+        spy(monkeypatch, calls, spatial, "icar_precision")  # what build_basis looks up
+        return calls
+
+    def test_fh_fit_builds_no_entry_level_matrix(self, fixture10, tmp_path, dense_calls):
+        cfg = fit_config(fixture10, tmp_path, model="fh", iterations=60, burn_in=20)
+        assert main(["fit", str(cfg), "--out", str(tmp_path / "fh")]) == 0
+        assert dense_calls == []
+
+    def test_fh_study_builds_no_entry_level_matrix(self, fixture10, tmp_path, dense_calls):
+        cfg = fit_config(
+            fixture10, tmp_path, models="fh", replicates=1, iterations=60, burn_in=20
+        )
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+        assert dense_calls == []
+
+    def test_cache_hit_builds_no_precision(self, fixture10, tmp_path, dense_calls):
+        cfg = fit_config(
+            fixture10,
+            tmp_path,
+            model="msm",
+            basis_cache=str(tmp_path / "cache"),
+            iterations=60,
+            burn_in=20,
+            write_draws="false",
+        )
+        assert main(["fit", str(cfg), "--out", str(tmp_path / "miss")]) == 0
+        assert dense_calls.count("icar_precision") == 1
+        dense_calls.clear()
+        assert main(["fit", str(cfg), "--out", str(tmp_path / "hit")]) == 0
+        assert dense_calls == ["expand_multivariate"]
+        hit = (tmp_path / "hit" / "predictions.csv").read_bytes()
+        assert hit == (tmp_path / "miss" / "predictions.csv").read_bytes()

@@ -15,7 +15,7 @@ from areamix import (
     write_study_csv,
     write_study_summary_csv,
 )
-from areamix.simulate import MODEL_SEED_TAG
+from areamix.models import MODELS
 
 
 def quick_config(**kwargs) -> StudyConfig:
@@ -79,7 +79,12 @@ class TestStudyConfig:
             quick_config(msmm_algorithm="exact").validate()
         with pytest.raises(DomainError):
             quick_config(workers=0).validate()
-        assert MODEL_SEED_TAG.keys() == {"msm", "msmm", "fh"}
+        # fit seeds derive from these tags: changing one changes every study output
+        assert {name: model.seed_tag for name, model in MODELS.items()} == {
+            "msm": 1,
+            "msmm": 2,
+            "fh": 3,
+        }
 
 
 class TestRunStudy:

@@ -52,6 +52,11 @@ class TestFormatValue:
     def test_nan_is_blank(self):
         assert format_value(float("nan")) == ""
 
+    def test_infinities(self):
+        assert format_value(float("inf")) == "inf"
+        assert format_value(np.float64("-inf")) == "-inf"
+        assert float(format_value(float("inf"))) == float("inf")
+
     def test_plain_ints_pass_through(self):
         assert format_value(7) == "7"
 
