@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .basis import basis_cache_key, build_basis, load_basis, save_basis
+from .basis import basis_cache_key, build_basis, cache_path, load_basis, save_basis
 from .design import build_design, read_population_csv
 from .diagnostics import diagnostics_report
 from .errors import (
@@ -316,7 +316,7 @@ def cmd_basis(config: dict, out_dir: Path) -> list[str]:
     cache_dir = config["basis_cache"] or str(out_dir)
     config = dict(config, basis_cache=cache_dir)
     basis, key, from_cache = _get_basis(config, log_table, x, w)
-    cache_file = Path(cache_dir) / f"moran_{key[:16]}.npz"
+    cache_file = cache_path(cache_dir, key)
     report = {
         "n": basis.n,
         "r": basis.r,

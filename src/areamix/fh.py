@@ -19,6 +19,7 @@ from .msm import (
     ChainConfig,
     DrawRecorder,
     _check_data,
+    _inverse_gamma_conditional,
     _posterior_draw,
     _posterior_mean,
     draw_inverse_gamma,
@@ -82,10 +83,10 @@ def fit_fh(z, d, x, config: FhConfig | None = None) -> FhDraws:
         beta = _posterior_draw(rng, chol_beta, _posterior_mean(chol_beta, xt_dinv @ (z - nu)))
 
         if fixed is None:
-            scale = config.b_sigma + float(nu @ nu) / 2.0
-            if not np.isfinite(scale):
-                raise DivergenceError("sigma2 scale diverged", iteration=t)
-            sigma2 = draw_inverse_gamma(rng, config.a_sigma + n / 2.0, scale)
+            shape, scale = _inverse_gamma_conditional(
+                config.a_sigma, config.b_sigma, n, float(nu @ nu), t
+            )
+            sigma2 = draw_inverse_gamma(rng, shape, scale)
 
         if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(nu)) and np.isfinite(sigma2)):
             raise DivergenceError("non-finite draw", iteration=t)

@@ -22,13 +22,14 @@ gamma mixture (collapsed) or the stick-breaking conjugate form
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import logsumexp
 
 from .basis import MoranBasis
 from .errors import DivergenceError, DomainError, ShapeError
@@ -37,6 +38,7 @@ from .msm import (
     DrawRecorder,
     _check_data,
     _cov_from_chol,
+    _inverse_gamma_conditional,
     _posterior_draw,
     _posterior_factor,
     draw_inverse_gamma,
@@ -130,6 +132,78 @@ class MixtureState:
         }
 
 
+class _ClusterStats:
+    """A cluster's count, F = sum u_i u_i'/d_i and g = sum u_i z_i/d_i over its
+    member rows, and its atom posterior (``chol`` of prec0 + F, ``mean``);
+    ``move`` adds or removes one row and marks the posterior stale.
+    """
+
+    __slots__ = ("count", "f", "g", "chol", "mean")
+
+    def __init__(self, members, z: np.ndarray, d: np.ndarray, u: np.ndarray):
+        rows = u[members]
+        weights = d[members]
+        self.count = rows.shape[0]
+        self.f = (rows / weights[:, None]).T @ rows
+        self.g = rows.T @ (z[members] / weights)
+        self.chol: np.ndarray | None = None
+        self.mean: np.ndarray | None = None
+
+    def move(self, u_i: np.ndarray, z_i: float, d_i: float, sign: int) -> None:
+        """Add row i to the statistics (sign +1) or take it out (sign -1)."""
+        step = np.add if sign > 0 else np.subtract
+        step(self.f, np.outer(u_i, u_i) / d_i, out=self.f)
+        step(self.g, u_i * (z_i / d_i), out=self.g)
+        self.count += sign
+        self.chol = None
+
+    def refresh(self, prec0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The atom posterior (chol, mean) under prior precision prec0; when stale,
+        refactored from the accumulated statistics (no downdating)."""
+        if self.chol is None:
+            self.chol, self.mean = _posterior_factor(prec0 + self.f, self.g)
+        return self.chol, self.mean
+
+
+def _check_rows(z, d, u, base: BaseMeasure):
+    z, d, u, _ = _check_data(z, d, u)
+    if u.shape[1] != base.dim:
+        raise ShapeError("u must be (n, p + r)")
+    return z, d, u
+
+
+def _assignment_logw(
+    u_i, z_i, d_i, new_var, clusters: list[_ClusterStats], prec0, log_alpha
+) -> np.ndarray:
+    """Log-weights of a held-out observation: one per cluster, then a new one.
+
+    Cluster c, with atom posterior N(m_c, (L_c L_c')^{-1}) under prior
+    precision ``prec0``, weighs log n_c +
+    log N(z_i; u_i' m_c, |L_c^{-1} u_i|^2 + d_i); a new cluster weighs
+    log alpha + log N(z_i; 0, new_var), new_var = u_i' Sigma0 u_i + d_i.
+    """
+    logw = np.empty(len(clusters) + 1)
+    for pos, st in enumerate(clusters):
+        chol, mean = st.refresh(prec0)
+        w = solve_triangular(chol, u_i, lower=True)
+        var = float(w @ w) + d_i
+        mu = float(u_i @ mean)
+        logw[pos] = math.log(st.count) + _norm_logpdf(z_i, mu, var)
+    logw[-1] = log_alpha + _norm_logpdf(z_i, 0.0, new_var)
+    return logw
+
+
+def _new_cluster_var(base: BaseMeasure, xnorm2, psi_k_psi, d):
+    """u' Sigma0 u + d = sigma2_beta |x|^2 + sigma2_eta psi' K psi + d."""
+    return base.sigma2_beta * xnorm2 + base.sigma2_eta * psi_k_psi + d
+
+
+def _normalise(logw: np.ndarray) -> np.ndarray:
+    probs = np.exp(logw - logw.max())
+    probs /= probs.sum()
+    return probs
+
+
 def cluster_posterior(
     members: np.ndarray, z, d, u, base: BaseMeasure
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -141,17 +215,10 @@ def cluster_posterior(
     returns the base measure itself: (0, Sigma0).
     """
     members = np.asarray(members, dtype=int).ravel()
-    z = np.asarray(z, dtype=float).ravel()
-    d = np.asarray(d, dtype=float).ravel()
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 2 or u.shape[1] != base.dim:
-        raise ShapeError("u must be (n, p + r)")
+    z, d, u = _check_rows(z, d, u, base)
     if members.size == 0:
         return np.zeros(base.dim), base.prior_covariance()
-    rows = u[members]
-    weights = d[members]
-    prec = base.prior_precision() + (rows / weights[:, None]).T @ rows
-    chol, mean = _posterior_factor(prec, rows.T @ (z[members] / weights))
+    chol, mean = _ClusterStats(members, z, d, u).refresh(base.prior_precision())
     return mean, _cov_from_chol(chol)
 
 
@@ -170,31 +237,25 @@ def crp_assignment_probs(
 
         alpha * N(z_i; 0, u_i' Sigma0 u_i + d_i).
 
-    Everything is accumulated in log space and normalised.  Returns the
-    sorted existing labels and a probability vector whose final entry is
-    the new-cluster probability.
+    The weights are those of the collapsed sampler's assignment step
+    (``fit_msmm_dp``), formed by the same kernel and normalised the same
+    way.  Returns the sorted existing labels and a probability vector
+    whose final entry is the new-cluster probability.
     """
-    z = np.asarray(z, dtype=float).ravel()
-    d = np.asarray(d, dtype=float).ravel()
-    u = np.asarray(u, dtype=float)
+    z, d, u = _check_rows(z, d, u, base)
     assign = state.assignments
     if not (0 <= i < assign.size):
         raise DomainError(f"observation index {i} out of range")
     if assign[i] != -1:
         raise DomainError("observation must be removed from its cluster first")
-    u_i = u[i]
-    labels = sorted(int(l) for l in np.unique(assign[assign >= 0]))
-    logw = np.empty(len(labels) + 1)
-    for pos, label in enumerate(labels):
-        members = np.flatnonzero(assign == label)
-        mean, cov = cluster_posterior(members, z, d, u, base)
-        mu = float(u_i @ mean)
-        var = float(u_i @ cov @ u_i) + d[i]
-        logw[pos] = math.log(members.size) + _norm_logpdf(z[i], mu, var)
-    var0 = float(u_i @ base.prior_covariance() @ u_i) + d[i]
-    logw[-1] = math.log(state.alpha) + _norm_logpdf(z[i], 0.0, var0)
-    probs = np.exp(logw - logsumexp(logw))
-    return labels, probs / probs.sum()
+    labels = [int(l) for l in np.unique(assign[assign >= 0])]
+    clusters = [_ClusterStats(np.flatnonzero(assign == label), z, d, u) for label in labels]
+    x_i, psi_i = u[i, : base.p], u[i, base.p :]
+    new_var = _new_cluster_var(base, x_i @ x_i, psi_i @ base.k @ psi_i, d[i])
+    logw = _assignment_logw(
+        u[i], z[i], d[i], new_var, clusters, base.prior_precision(), math.log(state.alpha)
+    )
+    return labels, _normalise(logw)
 
 
 def update_alpha_escobar_west(
@@ -253,19 +314,11 @@ def crp_simulate(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
     labels = np.zeros(n, dtype=int)
     counts: list[int] = [1]
     for i in range(1, n):
-        total = i + alpha
-        cut = rng.random() * total
-        acc = 0.0
-        chosen = len(counts)
-        for c, size in enumerate(counts):
-            acc += size
-            if cut < acc:
-                chosen = c
-                break
+        # the first table whose running count passes the cut; past them all, a new one
+        chosen = bisect.bisect_right(list(itertools.accumulate(counts)), rng.random() * (i + alpha))
         if chosen == len(counts):
-            counts.append(1)
-        else:
-            counts[chosen] += 1
+            counts.append(0)
+        counts[chosen] += 1
         labels[i] = chosen
     return labels
 
@@ -273,11 +326,10 @@ def crp_simulate(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
 def canonicalize_labels(labels) -> np.ndarray:
     """Relabel clusters 0,1,2,... in order of first appearance."""
     labels = np.asarray(labels).ravel()
-    seen: dict[int, int] = {}
-    out = np.empty(labels.size, dtype=np.int32)
-    for idx, lab in enumerate(labels):
-        out[idx] = seen.setdefault(int(lab), len(seen))
-    return out
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int32)
+    rank[np.argsort(first)] = np.arange(first.size, dtype=np.int32)
+    return rank[inverse]
 
 
 @dataclass
@@ -326,35 +378,6 @@ class MixturePosterior:
         return self.y.shape[0]
 
 
-class _ClusterStats:
-    """Running sufficient statistics of one cluster (collapsed sampler)."""
-
-    __slots__ = ("count", "f", "g", "chol", "mean")
-
-    def __init__(self, dim: int):
-        self.count = 0
-        self.f = np.zeros((dim, dim))
-        self.g = np.zeros(dim)
-        self.chol: np.ndarray | None = None
-        self.mean: np.ndarray | None = None
-
-    def add(self, u_i: np.ndarray, z_i: float, d_i: float) -> None:
-        self.f += np.outer(u_i, u_i) / d_i
-        self.g += u_i * (z_i / d_i)
-        self.count += 1
-        self.chol = None
-
-    def remove(self, u_i: np.ndarray, z_i: float, d_i: float) -> None:
-        self.f -= np.outer(u_i, u_i) / d_i
-        self.g -= u_i * (z_i / d_i)
-        self.count -= 1
-        self.chol = None
-
-    def refresh(self, prec0: np.ndarray) -> None:
-        # factorisation recomputed from the accumulated stats; no downdating
-        self.chol, self.mean = _posterior_factor(prec0 + self.f, self.g)
-
-
 def fit_msmm_dp(
     z, d, x, basis: MoranBasis, config: MixtureConfig | None = None
 ) -> MixturePosterior:
@@ -372,14 +395,12 @@ def fit_msmm_dp(
     z, d, x, psi = _check_data(z, d, x, basis.psi)
     n, p = x.shape
     r = psi.shape[1]
-    q = p + r
     u = np.hstack([x, psi])
     k_inv = basis.k_inv
-    k_mat = basis.k
 
     rng = np.random.default_rng(config.seed)
     xnorm2 = np.einsum("ij,ij->i", x, x)
-    psi_k_psi = np.einsum("ij,jk,ik->i", psi, k_mat, psi)
+    psi_k_psi = np.einsum("ij,jk,ik->i", psi, basis.k, psi)
 
     assignments = np.zeros(n, dtype=int)
     alpha = config.alpha_fixed if config.alpha_fixed is not None else 1.0
@@ -388,20 +409,16 @@ def fit_msmm_dp(
 
     draws = DrawRecorder(config)
     for t in range(config.iterations):
-        prec0 = BaseMeasure.from_basis(basis, p, config.sigma2_beta, sigma2_eta).prior_precision()
+        base = BaseMeasure.from_basis(basis, p, config.sigma2_beta, sigma2_eta)
+        prec0 = base.prior_precision()
         log_alpha = math.log(alpha)
-        new_var_base = config.sigma2_beta * xnorm2 + sigma2_eta * psi_k_psi + d
+        new_var = _new_cluster_var(base, xnorm2, psi_k_psi, d)
 
         # rebuild sufficient statistics from scratch each sweep
-        stats: dict[int, _ClusterStats] = {}
-        for label in np.unique(assignments):
-            idx = np.flatnonzero(assignments == label)
-            st = _ClusterStats(q)
-            rows = u[idx]
-            st.f = (rows / d[idx, None]).T @ rows
-            st.g = rows.T @ (z[idx] / d[idx])
-            st.count = idx.size
-            stats[int(label)] = st
+        stats = {
+            int(label): _ClusterStats(np.flatnonzero(assignments == label), z, d, u)
+            for label in np.unique(assignments)
+        }
 
         for i in range(n):
             u_i = u[i]
@@ -409,39 +426,29 @@ def fit_msmm_dp(
             d_i = d[i]
             old = int(assignments[i])
             st_old = stats[old]
-            st_old.remove(u_i, z_i, d_i)
+            st_old.move(u_i, z_i, d_i, -1)
             if st_old.count == 0:
                 del stats[old]
             assignments[i] = -1
 
-            labels = list(stats.keys())
-            logw = np.empty(len(labels) + 1)
+            labels = list(stats)
             if config.prior_only:
-                for pos, label in enumerate(labels):
-                    logw[pos] = math.log(stats[label].count)
-                logw[-1] = log_alpha
+                logw = np.array([math.log(stats[label].count) for label in labels] + [log_alpha])
             else:
-                for pos, label in enumerate(labels):
-                    st = stats[label]
-                    if st.chol is None:
-                        st.refresh(prec0)
-                    w = solve_triangular(st.chol, u_i, lower=True)
-                    var = float(w @ w) + d_i
-                    mu = float(u_i @ st.mean)
-                    logw[pos] = math.log(st.count) + _norm_logpdf(z_i, mu, var)
-                logw[-1] = log_alpha + _norm_logpdf(z_i, 0.0, new_var_base[i])
+                logw = _assignment_logw(
+                    u_i, z_i, d_i, new_var[i], list(stats.values()), prec0, log_alpha
+                )
 
-            probs = np.exp(logw - logw.max())
-            probs /= probs.sum()
+            probs = _normalise(logw)
             pick = int(np.searchsorted(np.cumsum(probs), rng.random()))
             pick = min(pick, len(labels))
             if pick == len(labels):
                 label = next_label
                 next_label += 1
-                stats[label] = _ClusterStats(q)
+                stats[label] = _ClusterStats([], z, d, u)
             else:
                 label = labels[pick]
-            stats[label].add(u_i, z_i, d_i)
+            stats[label].move(u_i, z_i, d_i, +1)
             assignments[i] = label
 
         k = len(stats)
@@ -449,19 +456,17 @@ def fit_msmm_dp(
             eta_quad = 0.0
             y = np.empty(n)
             for label, st in stats.items():
-                if st.chol is None:
-                    st.refresh(prec0)
-                theta = _posterior_draw(rng, st.chol, st.mean)
+                theta = _posterior_draw(rng, *st.refresh(prec0))
                 if not np.all(np.isfinite(theta)):
                     raise DivergenceError("non-finite atom draw", iteration=t)
                 idx = np.flatnonzero(assignments == label)
                 y[idx] = u[idx] @ theta
                 eta = theta[p:]
                 eta_quad += float(eta @ k_inv @ eta)
-            scale = config.b_eta + eta_quad / 2.0
-            if not np.isfinite(scale):
-                raise DivergenceError("sigma2_eta scale diverged", iteration=t)
-            sigma2_eta = draw_inverse_gamma(rng, config.a_eta + k * r / 2.0, scale)
+            shape, scale = _inverse_gamma_conditional(
+                config.a_eta, config.b_eta, k * r, eta_quad, t
+            )
+            sigma2_eta = draw_inverse_gamma(rng, shape, scale)
         else:
             y = np.zeros(n)
 
@@ -548,21 +553,17 @@ def fit_msmm_truncated(
                 theta[m] = base.draw(rng, chol_k)
                 continue
             k_occ += 1
-            rows = u[idx]
-            weights = d[idx]
-            prec = prec0 + (rows / weights[:, None]).T @ rows
-            chol, mean = _posterior_factor(prec, rows.T @ (z[idx] / weights))
-            theta[m] = _posterior_draw(rng, chol, mean)
+            theta[m] = _posterior_draw(rng, *_ClusterStats(idx, z, d, u).refresh(prec0))
             eta = theta[m, p:]
             eta_quad += float(eta @ k_inv @ eta)
         if not np.all(np.isfinite(theta)):
             raise DivergenceError("non-finite atom draw", iteration=t)
 
         if not config.prior_only:
-            scale = config.b_eta + eta_quad / 2.0
-            if not np.isfinite(scale):
-                raise DivergenceError("sigma2_eta scale diverged", iteration=t)
-            sigma2_eta = draw_inverse_gamma(rng, config.a_eta + k_occ * r / 2.0, scale)
+            shape, scale = _inverse_gamma_conditional(
+                config.a_eta, config.b_eta, k_occ * r, eta_quad, t
+            )
+            sigma2_eta = draw_inverse_gamma(rng, shape, scale)
 
         if config.alpha_fixed is None:
             rate = config.b_alpha - float(np.sum(np.log1p(-v)))

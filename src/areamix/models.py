@@ -55,9 +55,12 @@ MODELS: dict[str, Model] = {
 
 
 def check_models(names: Iterable[str], algorithm: str) -> None:
-    """Reject model names outside the table and an unknown msmm algorithm."""
+    """Reject model names outside the table or repeated, and an unknown msmm algorithm."""
+    names = list(names)
     unknown = [name for name in names if name not in MODELS]
     if unknown:
         raise DomainError(f"unknown models {unknown}; known: {'|'.join(MODELS)}")
+    if len(set(names)) != len(names):
+        raise DomainError(f"models listed more than once: {names}")
     if algorithm not in MSMM_ALGORITHMS:
         raise DomainError(f"algorithm must be one of {'|'.join(MSMM_ALGORITHMS)}, got {algorithm!r}")

@@ -197,9 +197,18 @@ def conditional_sigma2_eta(eta, k_inv, a_eta: float, b_eta: float) -> tuple[floa
         raise DomainError("a_eta and b_eta must be positive")
     if k_inv.shape != (eta.size, eta.size):
         raise ShapeError("k_inv must be (r, r)")
-    shape = a_eta + eta.size / 2.0
-    scale = b_eta + float(eta @ k_inv @ eta) / 2.0
-    return shape, scale
+    return _inverse_gamma_conditional(a_eta, b_eta, eta.size, float(eta @ k_inv @ eta))
+
+
+def _inverse_gamma_conditional(a, b, dof, quad: float, iteration=None) -> tuple[float, float]:
+    """(shape, scale) = (a + dof/2, b + quad/2): an InverseGamma(a, b) variance
+    given ``dof`` Gaussian coordinates with precision-weighted sum of squares
+    ``quad``.  A non-finite scale raises DivergenceError at ``iteration``.
+    """
+    scale = b + quad / 2.0
+    if not np.isfinite(scale):
+        raise DivergenceError("inverse-gamma scale diverged", iteration=iteration)
+    return a + dof / 2.0, scale
 
 
 def draw_inverse_gamma(rng: np.random.Generator, shape: float, scale: float) -> float:
@@ -250,10 +259,8 @@ def fit_msm(z, d, x, basis: MoranBasis, config: MsmConfig | None = None) -> Post
         eta = _posterior_draw(rng, chol_eta, mean_eta)
 
         if fixed is None:
-            shape = config.a_eta + r / 2.0
-            scale = config.b_eta + float(eta @ k_inv @ eta) / 2.0
-            if not np.isfinite(scale):
-                raise DivergenceError("sigma2_eta scale diverged", iteration=t)
+            quad = float(eta @ k_inv @ eta)
+            shape, scale = _inverse_gamma_conditional(config.a_eta, config.b_eta, r, quad, t)
             sigma2_eta = draw_inverse_gamma(rng, shape, scale)
 
         if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(eta)) and np.isfinite(sigma2_eta)):

@@ -7,6 +7,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse import csgraph, csr_array
 
 from .errors import DomainError, SchemaError, ShapeError, UnknownAreaError
 
@@ -96,21 +97,6 @@ def icar_precision(a: np.ndarray) -> np.ndarray:
 
 
 def connected_components(a: np.ndarray) -> np.ndarray:
-    """Component label (0-based) for each node of an adjacency matrix."""
-    a = _check_adjacency(a)
-    n = a.shape[0]
-    labels = np.full(n, -1, dtype=int)
-    current = 0
-    for start in range(n):
-        if labels[start] >= 0:
-            continue
-        stack = [start]
-        labels[start] = current
-        while stack:
-            node = stack.pop()
-            for nbr in np.flatnonzero(a[node] > 0):
-                if labels[nbr] < 0:
-                    labels[nbr] = current
-                    stack.append(int(nbr))
-        current += 1
-    return labels
+    """Component label (0-based, int32) for each node of an adjacency matrix."""
+    # a sparse input skips csgraph's dense-input conversion, which costs more
+    return csgraph.connected_components(csr_array(_check_adjacency(a)), directed=False)[1]

@@ -172,9 +172,8 @@ def load_tabulation(
     areas = tuple(sorted({a for a, _ in rows}))
     n_cells = max(c for _, c in rows)
     for a in areas:
-        cells = {c for (aa, c) in rows if aa == a}
-        if cells != set(range(1, n_cells + 1)):
-            missing = sorted(set(range(1, n_cells + 1)) - cells)
+        missing = [c for c in range(1, n_cells + 1) if (a, c) not in rows]
+        if missing:
             raise SchemaError(f"{path}: area {a} lacks cells {missing}")
 
     n = len(areas) * n_cells

@@ -317,6 +317,19 @@ class TestSettingsBeforeInput:
         assert "nope" in capsys.readouterr().err
         assert calls == []
 
+    def test_simulate_repeated_model_reads_no_input(
+        self, fixture10, tmp_path, monkeypatch, capsys
+    ):
+        # a repeated name would fit the model twice with one seed and
+        # write every study row twice
+        calls: list = []
+        for name in ("load_tabulation", "run_study"):
+            spy(monkeypatch, calls, cli, name)
+        cfg = fit_config(fixture10, tmp_path, models="msm,fh,msm", replicates=1)
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert "more than once" in capsys.readouterr().err
+        assert calls == []
+
 
 class TestDenseMatricesOnDemand:
     @pytest.fixture

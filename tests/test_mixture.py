@@ -20,6 +20,7 @@ from areamix import (
     stick_break,
     update_alpha_escobar_west,
 )
+from areamix import mixture
 from areamix.mixture import canonicalize_labels
 
 from test_msm import joint_gaussian_condition
@@ -152,6 +153,41 @@ class TestCrpAssignmentProbs:
         assert p2[3] == pytest.approx(p1[3], rel=1e-12)
 
 
+class TestOneAssignmentKernel:
+    """The oracle-checked probabilities and the sampler share one kernel."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch) -> list:
+        calls: list = []
+        real = mixture._assignment_logw
+
+        def spy(*args, **kwargs):
+            calls.append(args[4])  # the clusters weighed against
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mixture, "_assignment_logw", spy)
+        return calls
+
+    def test_crp_assignment_probs_calls_kernel(self, base_measure, cluster_data, kernel_calls):
+        z, d, u = cluster_data
+        state = MixtureState(assignments=np.array([0, 0, 1, 1, 1, 2, -1]))
+        crp_assignment_probs(6, state, z, d, u, base_measure)
+        assert [len(clusters) for clusters in kernel_calls] == [3]
+
+    def test_collapsed_sampler_calls_kernel(self, small_inputs, kernel_calls):
+        study, x, _, basis = small_inputs
+        cfg = MixtureConfig(iterations=3, burn_in=1, seed=4)
+        fit_msmm_dp(study.truth.z, study.truth.d, x, basis, cfg)
+        # once per observation per sweep
+        assert len(kernel_calls) == 3 * study.truth.n_rows
+
+    def test_prior_only_sampler_skips_kernel(self, small_inputs, kernel_calls):
+        study, x, _, basis = small_inputs
+        cfg = MixtureConfig(iterations=3, burn_in=1, seed=4, prior_only=True)
+        fit_msmm_dp(study.truth.z, study.truth.d, x, basis, cfg)
+        assert kernel_calls == []
+
+
 def ew_chain(k, n, a, b, steps, seed, alpha0=1.0):
     rng = np.random.default_rng(seed)
     alpha = alpha0
@@ -276,7 +312,25 @@ class TestCrpLaw:
         assert ks.var() == pytest.approx(want_var, rel=0.15)
 
 
+def first_appearance_labels(labels) -> np.ndarray:
+    """Relabel 0, 1, 2, ... in order of first appearance, one label at a time."""
+    seen: dict[int, int] = {}
+    out = np.empty(len(labels), dtype=np.int32)
+    for idx, lab in enumerate(labels):
+        out[idx] = seen.setdefault(int(lab), len(seen))
+    return out
+
+
 class TestCanonicalizeLabels:
+    def test_matches_first_appearance_loop(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            n = int(rng.integers(0, 60))
+            labels = rng.integers(-3, int(rng.integers(1, 30)), size=n)
+            got = canonicalize_labels(labels)
+            assert got.dtype == np.int32
+            assert np.array_equal(got, first_appearance_labels(labels))
+
     def test_first_appearance_order(self):
         got = canonicalize_labels([2, 2, 0, 5, 0])
         assert np.array_equal(got, [0, 0, 1, 2, 1])

@@ -75,6 +75,8 @@ class TestStudyConfig:
             quick_config(models=()).validate()
         with pytest.raises(DomainError):
             quick_config(models=("msm", "nope")).validate()
+        with pytest.raises(DomainError, match="more than once"):
+            quick_config(models=("msm", "msm")).validate()
         with pytest.raises(DomainError):
             quick_config(msmm_algorithm="exact").validate()
         with pytest.raises(DomainError):

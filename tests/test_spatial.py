@@ -137,7 +137,36 @@ class TestIcarPrecision:
         assert len(set(labels.tolist())) == 2
 
 
+def depth_first_components(a: np.ndarray) -> np.ndarray:
+    """Component labels numbered in order of each component's lowest node."""
+    n = a.shape[0]
+    labels = np.full(n, -1)
+    current = 0
+    for start in range(n):
+        if labels[start] >= 0:
+            continue
+        stack = [start]
+        labels[start] = current
+        while stack:
+            for nbr in np.flatnonzero(a[stack.pop()] > 0):
+                if labels[nbr] < 0:
+                    labels[nbr] = current
+                    stack.append(int(nbr))
+        current += 1
+    return labels
+
+
 class TestConnectedComponents:
+    def test_matches_depth_first_search(self):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            n = int(rng.integers(2, 25))
+            upper = np.triu(rng.random((n, n)) < rng.uniform(0.02, 0.3), k=1)
+            a = (upper | upper.T).astype(float)
+            labels = connected_components(a)
+            assert labels.dtype == np.int32
+            assert np.array_equal(labels, depth_first_components(a))
+
     def test_grid_is_connected(self):
         areas, edges = grid_graph(3, 3)
         w = build_adjacency(areas, edges)

@@ -80,6 +80,17 @@ class TestLoadTabulation:
         with pytest.raises(SchemaError, match="cells"):
             load_tabulation(path)
 
+    def test_ragged_names_first_area_in_sorted_order(self, tmp_path):
+        # both 19041 (cells 2, 3) and 19013 (cell 3) are ragged
+        path = write_csv(
+            tmp_path / "r.csv",
+            "state,county,order,count,std_err\n"
+            "19,041,1,325,49.2\n19,013,1,7,2.0\n19,013,2,5,1.0\n"
+            "19,077,1,1,1.0\n19,077,2,1,1.0\n19,077,3,1,1.0\n",
+        )
+        with pytest.raises(SchemaError, match=r"area 19013 lacks cells \[3\]$"):
+            load_tabulation(path)
+
     def test_cells_must_start_at_one(self, tmp_path):
         path = write_csv(
             tmp_path / "s.csv",
