@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .basis import MoranBasis
 from .errors import DivergenceError, DomainError, ShapeError
@@ -134,11 +133,10 @@ class MixtureState:
 
 class _ClusterStats:
     """A cluster's count, F = sum u_i u_i'/d_i and g = sum u_i z_i/d_i over its
-    member rows, and its atom posterior (``chol`` of prec0 + F, ``mean``);
-    ``move`` adds or removes one row and marks the posterior stale.
+    member rows; ``posterior`` forms its atom posterior.
     """
 
-    __slots__ = ("count", "f", "g", "chol", "mean")
+    __slots__ = ("count", "f", "g")
 
     def __init__(self, members, z: np.ndarray, d: np.ndarray, u: np.ndarray):
         rows = u[members]
@@ -146,23 +144,10 @@ class _ClusterStats:
         self.count = rows.shape[0]
         self.f = (rows / weights[:, None]).T @ rows
         self.g = rows.T @ (z[members] / weights)
-        self.chol: np.ndarray | None = None
-        self.mean: np.ndarray | None = None
 
-    def move(self, u_i: np.ndarray, z_i: float, d_i: float, sign: int) -> None:
-        """Add row i to the statistics (sign +1) or take it out (sign -1)."""
-        step = np.add if sign > 0 else np.subtract
-        step(self.f, np.outer(u_i, u_i) / d_i, out=self.f)
-        step(self.g, u_i * (z_i / d_i), out=self.g)
-        self.count += sign
-        self.chol = None
-
-    def refresh(self, prec0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The atom posterior (chol, mean) under prior precision prec0; when stale,
-        refactored from the accumulated statistics (no downdating)."""
-        if self.chol is None:
-            self.chol, self.mean = _posterior_factor(prec0 + self.f, self.g)
-        return self.chol, self.mean
+    def posterior(self, prec0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The atom posterior (chol of prec0 + F, mean) under prior precision prec0."""
+        return _posterior_factor(prec0 + self.f, self.g)
 
 
 def _check_rows(z, d, u, base: BaseMeasure):
@@ -172,25 +157,54 @@ def _check_rows(z, d, u, base: BaseMeasure):
     return z, d, u
 
 
-def _assignment_logw(
-    u_i, z_i, d_i, new_var, clusters: list[_ClusterStats], prec0, log_alpha
-) -> np.ndarray:
+def _cluster_blocks(clusters: list[_ClusterStats], prec0) -> tuple[np.ndarray, np.ndarray]:
+    """Counts (K,) and stacked blocks (K, q + 1, q) of the clusters' atom posteriors.
+
+    Block c holds S_c = (prec0 + F_c)^{-1} in its first q rows and
+    m_c' = (S_c g_c)' in its last, so one product with u_i gives both
+    S_c u_i and m_c' u_i.  All K inverses are one batched call.
+    """
+    q = prec0.shape[0]
+    prec = np.empty((len(clusters), q, q))
+    lin = np.empty((len(clusters), q))
+    for pos, st in enumerate(clusters):
+        np.add(prec0, st.f, out=prec[pos])
+        lin[pos] = st.g
+    blocks = np.empty((len(clusters), q + 1, q))
+    blocks[:, :q] = np.linalg.inv(prec)
+    blocks[:, q] = np.einsum("cjk,ck->cj", blocks[:, :q], lin)
+    counts = np.array([st.count for st in clusters], dtype=np.int64)
+    return counts, blocks
+
+
+def _shift_row(block: np.ndarray, su: np.ndarray, z_i: float, c: float) -> None:
+    """Add or remove row i of one cluster's block in place (Sherman-Morrison).
+
+    ``su = block @ u_i`` = [S u_i; m' u_i].  The step is
+    block += [s; m' u_i - z_i] s' / c with s = S u_i: c = d_i - u_i' s
+    removes the row, c = -(u_i' s + d_i) adds it.
+    """
+    step = su[:-1] / c
+    block += su[:, None] * step
+    block[-1] -= z_i * step
+
+
+def _assignment_logw(u_i, z_i, d_i, new_var, counts, blocks, log_alpha):
     """Log-weights of a held-out observation: one per cluster, then a new one.
 
-    Cluster c, with atom posterior N(m_c, (L_c L_c')^{-1}) under prior
-    precision ``prec0``, weighs log n_c +
-    log N(z_i; u_i' m_c, |L_c^{-1} u_i|^2 + d_i); a new cluster weighs
-    log alpha + log N(z_i; 0, new_var), new_var = u_i' Sigma0 u_i + d_i.
+    Cluster c, with atom posterior N(m_c, S_c) held in ``blocks[c]`` (see
+    ``_cluster_blocks``), weighs log n_c + log N(z_i; u_i' m_c, u_i' S_c u_i + d_i);
+    a new cluster weighs log alpha + log N(z_i; 0, new_var),
+    new_var = u_i' Sigma0 u_i + d_i.  Also returns ``su = blocks @ u_i``
+    and the predictive variances, which the step that adds row i reuses.
     """
-    logw = np.empty(len(clusters) + 1)
-    for pos, st in enumerate(clusters):
-        chol, mean = st.refresh(prec0)
-        w = solve_triangular(chol, u_i, lower=True)
-        var = float(w @ w) + d_i
-        mu = float(u_i @ mean)
-        logw[pos] = math.log(st.count) + _norm_logpdf(z_i, mu, var)
+    su = blocks @ u_i
+    var = su[:, :-1] @ u_i + d_i
+    resid = z_i - su[:, -1]
+    logw = np.empty(counts.size + 1)
+    logw[:-1] = np.log(counts) - 0.5 * (_LOG_2PI + np.log(var) + resid * resid / var)
     logw[-1] = log_alpha + _norm_logpdf(z_i, 0.0, new_var)
-    return logw
+    return logw, su, var
 
 
 def _new_cluster_var(base: BaseMeasure, xnorm2, psi_k_psi, d):
@@ -218,7 +232,7 @@ def cluster_posterior(
     z, d, u = _check_rows(z, d, u, base)
     if members.size == 0:
         return np.zeros(base.dim), base.prior_covariance()
-    chol, mean = _ClusterStats(members, z, d, u).refresh(base.prior_precision())
+    chol, mean = _ClusterStats(members, z, d, u).posterior(base.prior_precision())
     return mean, _cov_from_chol(chol)
 
 
@@ -248,12 +262,15 @@ def crp_assignment_probs(
         raise DomainError(f"observation index {i} out of range")
     if assign[i] != -1:
         raise DomainError("observation must be removed from its cluster first")
+    if not (math.isfinite(state.alpha) and state.alpha > 0):
+        raise DomainError("alpha must be finite and positive")
     labels = [int(l) for l in np.unique(assign[assign >= 0])]
     clusters = [_ClusterStats(np.flatnonzero(assign == label), z, d, u) for label in labels]
+    counts, blocks = _cluster_blocks(clusters, base.prior_precision())
     x_i, psi_i = u[i, : base.p], u[i, base.p :]
     new_var = _new_cluster_var(base, x_i @ x_i, psi_i @ base.k @ psi_i, d[i])
-    logw = _assignment_logw(
-        u[i], z[i], d[i], new_var, clusters, base.prior_precision(), math.log(state.alpha)
+    logw, _, _ = _assignment_logw(
+        u[i], z[i], d[i], new_var, counts, blocks, math.log(state.alpha)
     )
     return labels, _normalise(logw)
 
@@ -389,12 +406,17 @@ def fit_msmm_dp(
     InverseGamma(a_eta + k r / 2, b_eta + sum_c eta_c' K^{-1} eta_c / 2);
     (4) alpha by the augmented beta-gamma step.  Starts from a single
     cluster holding every observation, alpha = 1, sigma2_eta = 1.
+
+    Clusters are numbered 0..K-1 in order of creation.  Their atom
+    posteriors are rebuilt from the member rows once per sweep and kept
+    current within the pass by rank-one steps as rows leave and join.
     """
     config = config or MixtureConfig()
     config.validate()
     z, d, x, psi = _check_data(z, d, x, basis.psi)
     n, p = x.shape
     r = psi.shape[1]
+    q = p + r
     u = np.hstack([x, psi])
     k_inv = basis.k_inv
 
@@ -403,9 +425,9 @@ def fit_msmm_dp(
     psi_k_psi = np.einsum("ij,jk,ik->i", psi, basis.k, psi)
 
     assignments = np.zeros(n, dtype=int)
+    stats = [_ClusterStats(np.arange(n), z, d, u)]
     alpha = config.alpha_fixed if config.alpha_fixed is not None else 1.0
     sigma2_eta = 1.0
-    next_label = 1
 
     draws = DrawRecorder(config)
     for t in range(config.iterations):
@@ -413,53 +435,59 @@ def fit_msmm_dp(
         prec0 = base.prior_precision()
         log_alpha = math.log(alpha)
         new_var = _new_cluster_var(base, xnorm2, psi_k_psi, d)
+        fresh = np.zeros((1, q + 1, q))  # the block of an empty cluster: (Sigma0, 0)
+        fresh[0, :q] = base.prior_covariance()
 
-        # rebuild sufficient statistics from scratch each sweep
-        stats = {
-            int(label): _ClusterStats(np.flatnonzero(assignments == label), z, d, u)
-            for label in np.unique(assignments)
-        }
-
+        counts, blocks = _cluster_blocks(stats, prec0)
         for i in range(n):
             u_i = u[i]
             z_i = z[i]
             d_i = d[i]
-            old = int(assignments[i])
-            st_old = stats[old]
-            st_old.move(u_i, z_i, d_i, -1)
-            if st_old.count == 0:
-                del stats[old]
-            assignments[i] = -1
+            old = assignments[i]
+            counts[old] -= 1
+            if counts[old] == 0:
+                # drop the emptied cluster; the later ones keep their order
+                counts = np.delete(counts, old)
+                blocks = np.delete(blocks, old, axis=0)
+                assignments[assignments > old] -= 1
+            elif not config.prior_only:
+                su = blocks[old] @ u_i
+                _shift_row(blocks[old], su, z_i, d_i - su[:-1] @ u_i)
 
-            labels = list(stats)
+            k = counts.size
             if config.prior_only:
-                logw = np.array([math.log(stats[label].count) for label in labels] + [log_alpha])
+                logw = np.array([math.log(count) for count in counts] + [log_alpha])
             else:
-                logw = _assignment_logw(
-                    u_i, z_i, d_i, new_var[i], list(stats.values()), prec0, log_alpha
+                logw, su, var = _assignment_logw(
+                    u_i, z_i, d_i, new_var[i], counts, blocks, log_alpha
                 )
 
             probs = _normalise(logw)
-            pick = int(np.searchsorted(np.cumsum(probs), rng.random()))
-            pick = min(pick, len(labels))
-            if pick == len(labels):
-                label = next_label
-                next_label += 1
-                stats[label] = _ClusterStats([], z, d, u)
-            else:
-                label = labels[pick]
-            stats[label].move(u_i, z_i, d_i, +1)
-            assignments[i] = label
+            pick = int(probs.cumsum().searchsorted(rng.random()))
+            pick = min(pick, k)
+            if pick == k:
+                counts = np.append(counts, 0)
+                blocks = np.concatenate([blocks, fresh])
+            if not config.prior_only:
+                if pick < k:
+                    su_i, var_i = su[pick], var[pick]
+                else:
+                    su_i = fresh[0] @ u_i
+                    var_i = su_i[:-1] @ u_i + d_i
+                _shift_row(blocks[pick], su_i, z_i, -var_i)
+            counts[pick] += 1
+            assignments[i] = pick
 
-        k = len(stats)
+        k = counts.size
+        members = [np.flatnonzero(assignments == c) for c in range(k)]
+        stats = [_ClusterStats(idx, z, d, u) for idx in members]
         if not config.prior_only:
             eta_quad = 0.0
             y = np.empty(n)
-            for label, st in stats.items():
-                theta = _posterior_draw(rng, *st.refresh(prec0))
+            for idx, st in zip(members, stats):
+                theta = _posterior_draw(rng, *st.posterior(prec0))
                 if not np.all(np.isfinite(theta)):
                     raise DivergenceError("non-finite atom draw", iteration=t)
-                idx = np.flatnonzero(assignments == label)
                 y[idx] = u[idx] @ theta
                 eta = theta[p:]
                 eta_quad += float(eta @ k_inv @ eta)
@@ -553,7 +581,7 @@ def fit_msmm_truncated(
                 theta[m] = base.draw(rng, chol_k)
                 continue
             k_occ += 1
-            theta[m] = _posterior_draw(rng, *_ClusterStats(idx, z, d, u).refresh(prec0))
+            theta[m] = _posterior_draw(rng, *_ClusterStats(idx, z, d, u).posterior(prec0))
             eta = theta[m, p:]
             eta_quad += float(eta @ k_inv @ eta)
         if not np.all(np.isfinite(theta)):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.linalg import solve_triangular
 from scipy.special import betaln
 
 from areamix import (
@@ -153,6 +154,15 @@ class TestCrpAssignmentProbs:
         assert p2[3] == pytest.approx(p1[3], rel=1e-12)
 
 
+class TestAlphaValidation:
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+    def test_alpha_must_be_finite_and_positive(self, base_measure, cluster_data, alpha):
+        z, d, u = cluster_data
+        state = MixtureState(assignments=np.array([0, 0, 1, 1, 1, 2, -1]), alpha=alpha)
+        with pytest.raises(DomainError, match="alpha"):
+            crp_assignment_probs(6, state, z, d, u, base_measure)
+
+
 class TestOneAssignmentKernel:
     """The oracle-checked probabilities and the sampler share one kernel."""
 
@@ -162,7 +172,7 @@ class TestOneAssignmentKernel:
         real = mixture._assignment_logw
 
         def spy(*args, **kwargs):
-            calls.append(args[4])  # the clusters weighed against
+            calls.append(len(args[4]))  # the cluster counts weighed against
             return real(*args, **kwargs)
 
         monkeypatch.setattr(mixture, "_assignment_logw", spy)
@@ -172,7 +182,7 @@ class TestOneAssignmentKernel:
         z, d, u = cluster_data
         state = MixtureState(assignments=np.array([0, 0, 1, 1, 1, 2, -1]))
         crp_assignment_probs(6, state, z, d, u, base_measure)
-        assert [len(clusters) for clusters in kernel_calls] == [3]
+        assert kernel_calls == [3]
 
     def test_collapsed_sampler_calls_kernel(self, small_inputs, kernel_calls):
         study, x, _, basis = small_inputs
@@ -186,6 +196,127 @@ class TestOneAssignmentKernel:
         cfg = MixtureConfig(iterations=3, burn_in=1, seed=4, prior_only=True)
         fit_msmm_dp(study.truth.z, study.truth.d, x, basis, cfg)
         assert kernel_calls == []
+
+
+def _norm_logpdf(x, mean, var):
+    return -0.5 * (math.log(2.0 * math.pi) + math.log(var) + (x - mean) ** 2 / var)
+
+
+def cholesky_assignment_logw(u_i, z_i, d_i, new_var, clusters, prec0, log_alpha):
+    """Assignment log-weights with one Cholesky factor per cluster.
+
+    ``clusters`` holds (count, F, g) per cluster.  This is the reference
+    for the batched kernel ``mixture._assignment_logw``.
+    """
+    logw = np.empty(len(clusters) + 1)
+    for pos, (count, f, g) in enumerate(clusters):
+        chol = np.linalg.cholesky(prec0 + f)
+        mean = solve_triangular(chol.T, solve_triangular(chol, g, lower=True), lower=False)
+        w = solve_triangular(chol, u_i, lower=True)
+        var = float(w @ w) + d_i
+        mu = float(u_i @ mean)
+        logw[pos] = math.log(count) + _norm_logpdf(z_i, mu, var)
+    logw[-1] = log_alpha + _norm_logpdf(z_i, 0.0, new_var)
+    return logw
+
+
+def member_sums(members, z, d, u):
+    """(count, F, g) of one cluster, summed row by row."""
+    q = u.shape[1]
+    f, g = np.zeros((q, q)), np.zeros(q)
+    for i in members:
+        f += np.outer(u[i], u[i]) / d[i]
+        g += u[i] * z[i] / d[i]
+    return len(members), f, g
+
+
+def random_base(rng, p, r, sigma2_beta=100.0):
+    half = rng.normal(size=(r, r))
+    k = half @ half.T + r * np.eye(r)
+    return BaseMeasure(
+        p=p, sigma2_beta=sigma2_beta, sigma2_eta=float(rng.uniform(0.3, 2.0)),
+        k=k, k_inv=np.linalg.inv(k),
+    )
+
+
+def blocks_from_members(partition, z, d, u, prec0):
+    """Counts and [S; m'] blocks of each member set, by dense solves."""
+    counts, blocks = [], []
+    for members in partition:
+        count, f, g = member_sums(members, z, d, u)
+        prec = prec0 + f
+        cov = np.linalg.inv(prec)
+        counts.append(count)
+        blocks.append(np.vstack([cov, np.linalg.solve(prec, g)]))
+    return np.array(counts), np.array(blocks)
+
+
+class TestBatchedKernel:
+    def test_matches_cholesky_loop(self):
+        rng = np.random.default_rng(61)
+        worst = 0.0
+        for _ in range(200):
+            p, r = int(rng.integers(1, 4)), int(rng.integers(0, 5))
+            n = int(rng.integers(1, 40))
+            base = random_base(rng, p, r, sigma2_beta=float(rng.choice([1.0, 100.0])))
+            u = rng.normal(size=(n, p + r))
+            z = rng.normal(scale=3.0, size=n)
+            d = rng.uniform(0.05, 1.5, size=n)
+            held_out = int(rng.integers(n))
+            labels = rng.integers(0, int(rng.integers(1, 6)), size=n)
+            partition = [
+                [i for i in np.flatnonzero(labels == c) if i != held_out]
+                for c in np.unique(labels)
+            ]
+            partition = [members for members in partition if members]
+            prec0 = base.prior_precision()
+            x_i, psi_i = u[held_out, :p], u[held_out, p:]
+            new_var = mixture._new_cluster_var(
+                base, x_i @ x_i, psi_i @ base.k @ psi_i, d[held_out]
+            )
+            log_alpha = math.log(float(rng.uniform(0.1, 3.0)))
+            want = cholesky_assignment_logw(
+                u[held_out], z[held_out], d[held_out], new_var,
+                [member_sums(members, z, d, u) for members in partition], prec0, log_alpha,
+            )
+            stats = [mixture._ClusterStats(np.array(m), z, d, u) for m in partition]
+            counts, blocks = mixture._cluster_blocks(stats, prec0)
+            got, _, _ = mixture._assignment_logw(
+                u[held_out], z[held_out], d[held_out], new_var, counts, blocks, log_alpha
+            )
+            assert got.shape == want.shape
+            worst = max(worst, float(np.max(np.abs(got - want))))
+        assert worst < 1e-12
+
+    def test_rank_one_moves_do_not_drift(self):
+        # a long random walk of single rows between clusters, kept by
+        # rank-one steps only, must match a rebuild from the member rows
+        rng = np.random.default_rng(62)
+        p, r, n, k = 3, 4, 60, 4
+        base = random_base(rng, p, r)
+        u = rng.normal(size=(n, p + r))
+        z = rng.normal(scale=3.0, size=n)
+        d = rng.uniform(0.05, 1.5, size=n)
+        prec0 = base.prior_precision()
+        labels = np.arange(n) % k
+        stats = [mixture._ClusterStats(np.flatnonzero(labels == c), z, d, u) for c in range(k)]
+        counts, blocks = mixture._cluster_blocks(stats, prec0)
+        for _ in range(20000):
+            i = int(rng.integers(n))
+            old, new = labels[i], int(rng.integers(k))
+            if counts[old] == 1 or new == old:
+                continue
+            su = blocks[old] @ u[i]
+            mixture._shift_row(blocks[old], su, z[i], d[i] - su[:-1] @ u[i])
+            su = blocks[new] @ u[i]
+            mixture._shift_row(blocks[new], su, z[i], -(su[:-1] @ u[i] + d[i]))
+            counts[old] -= 1
+            counts[new] += 1
+            labels[i] = new
+        partition = [np.flatnonzero(labels == c) for c in range(k)]
+        want_counts, want = blocks_from_members(partition, z, d, u, prec0)
+        assert np.array_equal(counts, want_counts)
+        assert np.max(np.abs(blocks - want)) < 1e-9
 
 
 def ew_chain(k, n, a, b, steps, seed, alpha0=1.0):
