@@ -78,22 +78,20 @@ def moran_operator(x: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def select_basis(
-    g: np.ndarray,
-    fraction: float | None = None,
-    r: int | None = None,
-    tolerance: float = EIGENVALUE_TOLERANCE,
+    g: np.ndarray, fraction: float | None = None, r: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Keep eigenvectors of the r largest positive eigenvalues of g.
 
     Parameters
     ----------
-    g : symmetric operator.
+    g : symmetric operator (exactly, as ``moran_operator`` returns it).
     fraction : requested share of the positive eigenvalues, in (0, 1];
         the request is floor(fraction * n_positive).  Defaults to 0.5
         when neither fraction nor r is given.
     r : explicit number of basis functions; capped at n_positive.
-    tolerance : eigenvalues are positive when they exceed
-        tolerance * max(|eigenvalues|).
+
+    Eigenvalues are positive when they exceed EIGENVALUE_TOLERANCE *
+    max(|eigenvalues|).
 
     Returns
     -------
@@ -104,6 +102,8 @@ def select_basis(
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ShapeError("operator must be square")
+    if not np.array_equal(g, g.T):
+        raise DomainError("operator must be symmetric")
     if fraction is not None and r is not None:
         raise DomainError("give either fraction or r, not both")
     if fraction is None and r is None:
@@ -113,11 +113,11 @@ def select_basis(
     if r is not None and r < 1:
         raise DomainError(f"r must be >= 1, got {r}")
 
-    w, v = np.linalg.eigh((g + g.T) / 2.0)
+    w, v = np.linalg.eigh(g)
     max_abs = float(np.max(np.abs(w))) if w.size else 0.0
     if max_abs == 0.0:
         raise EmptyBasisError("operator is zero; no positive eigenvalues")
-    positive = w > tolerance * max_abs
+    positive = w > EIGENVALUE_TOLERANCE * max_abs
     n_positive = int(positive.sum())
     if n_positive == 0:
         raise EmptyBasisError("no positive eigenvalues above tolerance")
@@ -171,28 +171,24 @@ def basis_precision(psi: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def build_basis(
-    x: np.ndarray,
-    a: np.ndarray,
-    q: np.ndarray | None = None,
-    fraction: float | None = None,
-    r: int | None = None,
-    tolerance: float = EIGENVALUE_TOLERANCE,
+    x: np.ndarray, a: np.ndarray, fraction: float | None = None, r: int | None = None
 ) -> MoranBasis:
-    """Full pipeline: operator, eigenvector selection, induced prior."""
+    """Full pipeline: operator, eigenvector selection, induced prior.
+
+    The graph precision Q is formed only after the eigensolve, once the
+    operator is freed, so the two dense matrices are never held together.
+    """
     from .spatial import icar_precision
 
-    if q is None:
-        q = icar_precision(a)
-    g = moran_operator(x, a)
-    psi, eigenvalues, n_positive = select_basis(g, fraction=fraction, r=r, tolerance=tolerance)
-    k_inv, k = basis_precision(psi, q)
+    psi, eigenvalues, n_positive = select_basis(moran_operator(x, a), fraction=fraction, r=r)
+    k_inv, k = basis_precision(psi, icar_precision(a))
     return MoranBasis(
         psi=psi,
         eigenvalues=eigenvalues,
         k_inv=k_inv,
         k=k,
         n_positive=n_positive,
-        tolerance=tolerance,
+        tolerance=EIGENVALUE_TOLERANCE,
     )
 
 

@@ -54,7 +54,7 @@ from .mixture import fit_msmm_dp, fit_msmm_truncated
 from .models import MODELS, Model, check_models
 from .msm import fit_msm
 from .simulate import StudyConfig, run_study, write_study_csv, write_study_summary_csv
-from .spatial import build_adjacency, expand_multivariate, icar_precision, read_edge_list
+from .spatial import build_adjacency, expand_multivariate, read_edge_list
 from .tabulation import (
     gvf_impute,
     load_tabulation,
@@ -207,7 +207,7 @@ def _get_basis(config: dict, log_table, x, w):
         cached = load_basis(cache_dir, key)
         if cached is not None:
             return cached, key, True
-    basis = build_basis(x, a, q=icar_precision(a), fraction=fraction, r=config["basis_r"])
+    basis = build_basis(x, a, fraction=fraction, r=config["basis_r"])
     if cache_dir:
         save_basis(basis, cache_dir, key)
     return basis, key, False

@@ -25,7 +25,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -45,10 +45,6 @@ from .msm import (
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _STICK_EPS = 1e-12  # keep drawn sticks strictly inside (0, 1)
-
-
-def _norm_logpdf(x: float, mean: float, var: float) -> float:
-    return -0.5 * (_LOG_2PI + math.log(var) + (x - mean) ** 2 / var)
 
 
 @dataclass(frozen=True)
@@ -109,26 +105,14 @@ class BaseMeasure:
 
 @dataclass
 class MixtureState:
-    """A snapshot of the sampler: assignments, atoms, and scalars.
+    """A partition and the concentration it is weighed under.
 
     ``assignments[i] == -1`` marks an observation currently held out of
     every cluster (used while its label is being resampled).
     """
 
     assignments: np.ndarray
-    thetas: dict[int, np.ndarray] = field(default_factory=dict)
     alpha: float = 1.0
-    sigma2_eta: float = 1.0
-
-    def cluster_sizes(self) -> dict[int, int]:
-        labels, counts = np.unique(self.assignments[self.assignments >= 0], return_counts=True)
-        return {int(l): int(c) for l, c in zip(labels, counts)}
-
-    def clusters(self) -> dict[int, tuple[np.ndarray | None, int]]:
-        return {
-            label: (self.thetas.get(label), size)
-            for label, size in self.cluster_sizes().items()
-        }
 
 
 class _ClusterStats:
@@ -157,24 +141,32 @@ def _check_rows(z, d, u, base: BaseMeasure):
     return z, d, u
 
 
-def _cluster_blocks(clusters: list[_ClusterStats], prec0) -> tuple[np.ndarray, np.ndarray]:
-    """Counts (K,) and stacked blocks (K, q + 1, q) of the clusters' atom posteriors.
+def _cluster_blocks(
+    clusters: list[_ClusterStats], base: BaseMeasure, alpha: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (K + 1,) and stacked blocks (K + 1, q + 1, q) of the assignment candidates.
 
-    Block c holds S_c = (prec0 + F_c)^{-1} in its first q rows and
-    m_c' = (S_c g_c)' in its last, so one product with u_i gives both
-    S_c u_i and m_c' u_i.  All K inverses are one batched call.
+    Block c < K holds cluster c's atom posterior, S_c = (prec0 + F_c)^{-1}
+    in its first q rows and m_c' = (S_c g_c)' in its last, so one product
+    with u_i gives both S_c u_i and m_c' u_i; its weight is n_c.  All K
+    inverses are one batched call.  The last block is a new cluster's: a
+    cluster with no members, whose posterior is the base measure
+    [Sigma0; 0'], weighed alpha.
     """
-    q = prec0.shape[0]
-    prec = np.empty((len(clusters), q, q))
-    lin = np.empty((len(clusters), q))
+    q = base.dim
+    k = len(clusters)
+    prec0 = base.prior_precision()
+    prec = np.empty((k, q, q))
+    lin = np.empty((k, q))
     for pos, st in enumerate(clusters):
         np.add(prec0, st.f, out=prec[pos])
         lin[pos] = st.g
-    blocks = np.empty((len(clusters), q + 1, q))
-    blocks[:, :q] = np.linalg.inv(prec)
-    blocks[:, q] = np.einsum("cjk,ck->cj", blocks[:, :q], lin)
-    counts = np.array([st.count for st in clusters], dtype=np.int64)
-    return counts, blocks
+    blocks = np.zeros((k + 1, q + 1, q))
+    blocks[:k, :q] = np.linalg.inv(prec)
+    blocks[:k, q] = np.einsum("cjk,ck->cj", blocks[:k, :q], lin)
+    blocks[k, :q] = base.prior_covariance()
+    weights = np.array([st.count for st in clusters] + [alpha], dtype=float)
+    return weights, blocks
 
 
 def _shift_row(block: np.ndarray, su: np.ndarray, z_i: float, c: float) -> None:
@@ -189,27 +181,20 @@ def _shift_row(block: np.ndarray, su: np.ndarray, z_i: float, c: float) -> None:
     block[-1] -= z_i * step
 
 
-def _assignment_logw(u_i, z_i, d_i, new_var, counts, blocks, log_alpha):
-    """Log-weights of a held-out observation: one per cluster, then a new one.
+def _assignment_logw(u_i, z_i, d_i, weights, blocks):
+    """Log-weights of a held-out observation, one per candidate cluster.
 
-    Cluster c, with atom posterior N(m_c, S_c) held in ``blocks[c]`` (see
-    ``_cluster_blocks``), weighs log n_c + log N(z_i; u_i' m_c, u_i' S_c u_i + d_i);
-    a new cluster weighs log alpha + log N(z_i; 0, new_var),
-    new_var = u_i' Sigma0 u_i + d_i.  Also returns ``su = blocks @ u_i``
-    and the predictive variances, which the step that adds row i reuses.
+    Candidate c, with weight w_c and atom posterior N(m_c, S_c) held in
+    ``blocks[c]`` (see ``_cluster_blocks``), weighs
+    log w_c + log N(z_i; u_i' m_c, u_i' S_c u_i + d_i).  Also returns
+    ``su = blocks @ u_i`` and the predictive variances, which the step
+    that adds row i reuses.
     """
     su = blocks @ u_i
     var = su[:, :-1] @ u_i + d_i
     resid = z_i - su[:, -1]
-    logw = np.empty(counts.size + 1)
-    logw[:-1] = np.log(counts) - 0.5 * (_LOG_2PI + np.log(var) + resid * resid / var)
-    logw[-1] = log_alpha + _norm_logpdf(z_i, 0.0, new_var)
+    logw = np.log(weights) - 0.5 * (_LOG_2PI + np.log(var) + resid * resid / var)
     return logw, su, var
-
-
-def _new_cluster_var(base: BaseMeasure, xnorm2, psi_k_psi, d):
-    """u' Sigma0 u + d = sigma2_beta |x|^2 + sigma2_eta psi' K psi + d."""
-    return base.sigma2_beta * xnorm2 + base.sigma2_eta * psi_k_psi + d
 
 
 def _normalise(logw: np.ndarray) -> np.ndarray:
@@ -246,8 +231,9 @@ def crp_assignment_probs(
 
         n_c * N(z_i; u_i' m_c, u_i' S_c u_i + d_i)
 
-    where (m_c, S_c) is the atom posterior from the remaining members,
-    and the weight of a fresh cluster is
+    where (m_c, S_c) is the atom posterior from the remaining members.
+    A fresh cluster is the same formula for a cluster with no members,
+    whose posterior is the base measure (0, Sigma0):
 
         alpha * N(z_i; 0, u_i' Sigma0 u_i + d_i).
 
@@ -266,12 +252,8 @@ def crp_assignment_probs(
         raise DomainError("alpha must be finite and positive")
     labels = [int(l) for l in np.unique(assign[assign >= 0])]
     clusters = [_ClusterStats(np.flatnonzero(assign == label), z, d, u) for label in labels]
-    counts, blocks = _cluster_blocks(clusters, base.prior_precision())
-    x_i, psi_i = u[i, : base.p], u[i, base.p :]
-    new_var = _new_cluster_var(base, x_i @ x_i, psi_i @ base.k @ psi_i, d[i])
-    logw, _, _ = _assignment_logw(
-        u[i], z[i], d[i], new_var, counts, blocks, math.log(state.alpha)
-    )
+    weights, blocks = _cluster_blocks(clusters, base, state.alpha)
+    logw, _, _ = _assignment_logw(u[i], z[i], d[i], weights, blocks)
     return labels, _normalise(logw)
 
 
@@ -359,9 +341,7 @@ class MixtureConfig(ChainConfig):
     a_alpha: float = 1.0
     b_alpha: float = 4.0
     truncation_m: int = 25
-    # Testing knobs: drop the data likelihood from the assignment step
-    # (the partition then follows the prior process), or pin alpha.
-    prior_only: bool = False
+    # Hold the concentration fixed instead of sampling it.
     alpha_fixed: float | None = None
 
     positive: ClassVar[tuple[str, ...]] = (
@@ -395,6 +375,37 @@ class MixturePosterior:
         return self.y.shape[0]
 
 
+def _draw_atoms(rng, stats, base: BaseMeasure, chol_k, config: MixtureConfig, t: int):
+    """Every component's atom, then sigma2_eta over the occupied ones.
+
+    ``stats`` yields each component's ``_ClusterStats`` in component
+    order, or None for an empty component, whose atom comes from the base
+    measure (``chol_k`` is the Cholesky factor of K).  sigma2_eta is drawn
+    from InverseGamma(a_eta + k r / 2, b_eta + sum_c eta_c' K^{-1} eta_c / 2)
+    over the k occupied atoms.  Returns (atoms (M, q), k, sigma2_eta).
+    """
+    prec0 = base.prior_precision()
+    atoms = []
+    eta_quad = 0.0
+    occupied = 0
+    for st in stats:
+        if st is None:
+            atoms.append(base.draw(rng, chol_k))
+            continue
+        theta = _posterior_draw(rng, *st.posterior(prec0))
+        eta = theta[base.p :]
+        eta_quad += float(eta @ base.k_inv @ eta)
+        occupied += 1
+        atoms.append(theta)
+    theta = np.array(atoms)
+    if not np.all(np.isfinite(theta)):
+        raise DivergenceError("non-finite atom draw", iteration=t)
+    shape, scale = _inverse_gamma_conditional(
+        config.a_eta, config.b_eta, occupied * base.r, eta_quad, t
+    )
+    return theta, occupied, draw_inverse_gamma(rng, shape, scale)
+
+
 def fit_msmm_dp(
     z, d, x, basis: MoranBasis, config: MixtureConfig | None = None
 ) -> MixturePosterior:
@@ -410,20 +421,17 @@ def fit_msmm_dp(
     Clusters are numbered 0..K-1 in order of creation.  Their atom
     posteriors are rebuilt from the member rows once per sweep and kept
     current within the pass by rank-one steps as rows leave and join.
+    The candidates of each assignment are the K clusters and, last, a
+    cluster with no members (posterior: the base measure, weight alpha);
+    a row that picks it makes it cluster K, and a new empty one follows.
     """
     config = config or MixtureConfig()
     config.validate()
     z, d, x, psi = _check_data(z, d, x, basis.psi)
     n, p = x.shape
-    r = psi.shape[1]
-    q = p + r
     u = np.hstack([x, psi])
-    k_inv = basis.k_inv
 
     rng = np.random.default_rng(config.seed)
-    xnorm2 = np.einsum("ij,ij->i", x, x)
-    psi_k_psi = np.einsum("ij,jk,ik->i", psi, basis.k, psi)
-
     assignments = np.zeros(n, dtype=int)
     stats = [_ClusterStats(np.arange(n), z, d, u)]
     alpha = config.alpha_fixed if config.alpha_fixed is not None else 1.0
@@ -432,71 +440,44 @@ def fit_msmm_dp(
     draws = DrawRecorder(config)
     for t in range(config.iterations):
         base = BaseMeasure.from_basis(basis, p, config.sigma2_beta, sigma2_eta)
-        prec0 = base.prior_precision()
-        log_alpha = math.log(alpha)
-        new_var = _new_cluster_var(base, xnorm2, psi_k_psi, d)
-        fresh = np.zeros((1, q + 1, q))  # the block of an empty cluster: (Sigma0, 0)
-        fresh[0, :q] = base.prior_covariance()
+        weights, blocks = _cluster_blocks(stats, base, alpha)
+        empty = blocks[-1:].copy()
 
-        counts, blocks = _cluster_blocks(stats, prec0)
         for i in range(n):
             u_i = u[i]
             z_i = z[i]
             d_i = d[i]
             old = assignments[i]
-            counts[old] -= 1
-            if counts[old] == 0:
+            weights[old] -= 1
+            if weights[old] == 0:
                 # drop the emptied cluster; the later ones keep their order
-                counts = np.delete(counts, old)
+                weights = np.delete(weights, old)
                 blocks = np.delete(blocks, old, axis=0)
                 assignments[assignments > old] -= 1
-            elif not config.prior_only:
+            else:
                 su = blocks[old] @ u_i
                 _shift_row(blocks[old], su, z_i, d_i - su[:-1] @ u_i)
 
-            k = counts.size
-            if config.prior_only:
-                logw = np.array([math.log(count) for count in counts] + [log_alpha])
-            else:
-                logw, su, var = _assignment_logw(
-                    u_i, z_i, d_i, new_var[i], counts, blocks, log_alpha
-                )
-
-            probs = _normalise(logw)
-            pick = int(probs.cumsum().searchsorted(rng.random()))
+            k = weights.size - 1  # candidate k is the empty cluster
+            logw, su, var = _assignment_logw(u_i, z_i, d_i, weights, blocks)
+            pick = int(_normalise(logw).cumsum().searchsorted(rng.random()))
             pick = min(pick, k)
+            _shift_row(blocks[pick], su[pick], z_i, -var[pick])
             if pick == k:
-                counts = np.append(counts, 0)
-                blocks = np.concatenate([blocks, fresh])
-            if not config.prior_only:
-                if pick < k:
-                    su_i, var_i = su[pick], var[pick]
-                else:
-                    su_i = fresh[0] @ u_i
-                    var_i = su_i[:-1] @ u_i + d_i
-                _shift_row(blocks[pick], su_i, z_i, -var_i)
-            counts[pick] += 1
+                # the empty cluster became cluster k; a new empty one follows it
+                weights[k] = 0.0
+                weights = np.append(weights, alpha)
+                blocks = np.concatenate([blocks, empty])
+            weights[pick] += 1
             assignments[i] = pick
 
-        k = counts.size
+        k = weights.size - 1
         members = [np.flatnonzero(assignments == c) for c in range(k)]
         stats = [_ClusterStats(idx, z, d, u) for idx in members]
-        if not config.prior_only:
-            eta_quad = 0.0
-            y = np.empty(n)
-            for idx, st in zip(members, stats):
-                theta = _posterior_draw(rng, *st.posterior(prec0))
-                if not np.all(np.isfinite(theta)):
-                    raise DivergenceError("non-finite atom draw", iteration=t)
-                y[idx] = u[idx] @ theta
-                eta = theta[p:]
-                eta_quad += float(eta @ k_inv @ eta)
-            shape, scale = _inverse_gamma_conditional(
-                config.a_eta, config.b_eta, k * r, eta_quad, t
-            )
-            sigma2_eta = draw_inverse_gamma(rng, shape, scale)
-        else:
-            y = np.zeros(n)
+        theta, _, sigma2_eta = _draw_atoms(rng, stats, base, None, config, t)
+        y = np.empty(n)
+        for c, idx in enumerate(members):
+            y[idx] = u[idx] @ theta[c]
 
         if config.alpha_fixed is None:
             alpha = update_alpha_escobar_west(
@@ -533,16 +514,13 @@ def fit_msmm_truncated(
     config.validate()
     z, d, x, psi = _check_data(z, d, x, basis.psi)
     n, p = x.shape
-    r = psi.shape[1]
-    q = p + r
     u = np.hstack([x, psi])
-    k_inv = basis.k_inv
     m_comp = config.truncation_m
 
     rng = np.random.default_rng(config.seed)
     chol_k = np.linalg.cholesky(basis.k)
 
-    theta = np.zeros((m_comp, q))
+    theta = np.zeros((m_comp, u.shape[1]))
     alpha = config.alpha_fixed if config.alpha_fixed is not None else 1.0
     sigma2_eta = 1.0
     v = np.clip(rng.beta(1.0, alpha, size=m_comp - 1), _STICK_EPS, 1.0 - _STICK_EPS)
@@ -553,15 +531,12 @@ def fit_msmm_truncated(
     for t in range(config.iterations):
         with np.errstate(divide="ignore"):
             log_pi = np.log(pi)
-        if config.prior_only:
-            logw = np.broadcast_to(log_pi, (n, m_comp)).copy()
-        else:
-            means = u @ theta.T
-            logw = (
-                log_pi[None, :]
-                - 0.5 * (z[:, None] - means) ** 2 / d[:, None]
-                + log_d_term[:, None]
-            )
+        means = u @ theta.T
+        logw = (
+            log_pi[None, :]
+            - 0.5 * (z[:, None] - means) ** 2 / d[:, None]
+            + log_d_term[:, None]
+        )
         gumbel = rng.gumbel(size=(n, m_comp))
         c = np.argmax(logw + gumbel, axis=1)
         counts = np.bincount(c, minlength=m_comp)
@@ -572,32 +547,19 @@ def fit_msmm_truncated(
         pi = stick_break(v)
 
         base = BaseMeasure.from_basis(basis, p, config.sigma2_beta, sigma2_eta)
-        prec0 = base.prior_precision()
-        eta_quad = 0.0
-        k_occ = 0
-        for m in range(m_comp):
-            idx = np.flatnonzero(c == m)
-            if idx.size == 0:
-                theta[m] = base.draw(rng, chol_k)
-                continue
-            k_occ += 1
-            theta[m] = _posterior_draw(rng, *_ClusterStats(idx, z, d, u).posterior(prec0))
-            eta = theta[m, p:]
-            eta_quad += float(eta @ k_inv @ eta)
-        if not np.all(np.isfinite(theta)):
-            raise DivergenceError("non-finite atom draw", iteration=t)
-
-        if not config.prior_only:
-            shape, scale = _inverse_gamma_conditional(
-                config.a_eta, config.b_eta, k_occ * r, eta_quad, t
-            )
-            sigma2_eta = draw_inverse_gamma(rng, shape, scale)
+        # one component's statistics at a time: holding all M at once keeps
+        # M (q, q) arrays alive
+        stats = (
+            _ClusterStats(idx, z, d, u) if idx.size else None
+            for idx in (np.flatnonzero(c == m) for m in range(m_comp))
+        )
+        theta, k_occ, sigma2_eta = _draw_atoms(rng, stats, base, chol_k, config, t)
 
         if config.alpha_fixed is None:
             rate = config.b_alpha - float(np.sum(np.log1p(-v)))
             alpha = float(rng.gamma(config.a_alpha + m_comp - 1.0, 1.0 / rate))
 
-        y = np.einsum("ij,ij->i", u, theta[c]) if not config.prior_only else np.zeros(n)
+        y = np.einsum("ij,ij->i", u, theta[c])
         if not (np.isfinite(alpha) and np.isfinite(sigma2_eta) and np.all(np.isfinite(y))):
             raise DivergenceError("non-finite draw", iteration=t)
 

@@ -13,6 +13,7 @@ is a plain three-block Gibbs scan: beta, then eta, then sigma2_eta.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -27,8 +28,8 @@ from .errors import DivergenceError, DomainError, ShapeError
 class ChainConfig:
     """Chain length, retention, and seed: what every sampler's settings share.
 
-    Subclasses name their strictly positive fields in ``positive``; a
-    field left at None (an optional pin) is not checked.
+    Subclasses name their finite, strictly positive fields in
+    ``positive``; a field left at None (an optional pin) is not checked.
     """
 
     iterations: int = 5000
@@ -47,8 +48,8 @@ class ChainConfig:
             raise DomainError("seed must be a 64-bit nonnegative integer")
         for name in self.positive:
             value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise DomainError(f"{name} must be positive")
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise DomainError(f"{name} must be finite and positive, got {value}")
 
     def retained(self) -> range:
         """The sweeps whose draws are kept: burn_in onwards, every thin-th."""

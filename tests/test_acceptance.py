@@ -187,7 +187,7 @@ def test_03_basis_correctness():
         a = expand_multivariate(_random_connected_adjacency(m, rng), n_cells)
         x = np.ones((a.shape[0], 1))
         q = icar_precision(a)
-        basis = build_basis(x, a, q=q, fraction=0.5)
+        basis = build_basis(x, a, fraction=0.5)
 
         worst_design = max(worst_design, float(np.max(np.abs(basis.psi.T @ x))))
         worst_orth = max(

@@ -126,6 +126,12 @@ class TestSelectBasis:
         with pytest.raises(ShapeError):
             select_basis(np.zeros((3, 4)))
 
+    def test_asymmetric(self):
+        g = np.diag([3.0, 1.0, -2.0])
+        g[0, 1] = 1e-12
+        with pytest.raises(DomainError, match="symmetric"):
+            select_basis(g)
+
     def test_fraction_rounding_to_zero(self):
         g = np.diag([2.0, -1.0, -1.0])
         with pytest.raises(EmptyBasisError):
@@ -167,8 +173,7 @@ class TestBuildBasis:
 
     def test_fraction_default_is_half(self, small_inputs):
         _, x, a, basis = small_inputs
-        q = icar_precision(a)
-        explicit = build_basis(x, a, q=q, fraction=0.5)
+        explicit = build_basis(x, a, fraction=0.5)
         assert explicit.r == basis.r
         assert np.array_equal(explicit.psi, basis.psi)
 

@@ -308,6 +308,19 @@ class TestSettingsBeforeInput:
         assert main(["fit", str(cfg), "--out", str(tmp_path / "x")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model", ["msmm", "msm", "fh"])
+    def test_fit_non_finite_setting_reads_no_input(
+        self, fixture10, tmp_path, monkeypatch, capsys, model
+    ):
+        calls: list = []
+        spy(monkeypatch, calls, cli, "load_tabulation")
+        cfg = fit_config(fixture10, tmp_path, model=model, sigma2_beta="nan")
+        assert main(["fit", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "sigma2_beta must be finite and positive" in err
+        assert calls == []
+
     def test_simulate_unknown_model_reads_no_input(self, fixture10, tmp_path, monkeypatch, capsys):
         calls: list = []
         for name in ("load_tabulation", "expand_multivariate", "build_basis"):
@@ -335,7 +348,6 @@ class TestDenseMatricesOnDemand:
     @pytest.fixture
     def dense_calls(self, monkeypatch) -> list:
         calls: list = []
-        spy(monkeypatch, calls, cli, "icar_precision")
         spy(monkeypatch, calls, cli, "expand_multivariate")
         spy(monkeypatch, calls, spatial, "icar_precision")  # what build_basis looks up
         return calls

@@ -12,6 +12,7 @@ from areamix import (
     DomainError,
     MixtureConfig,
     MixtureState,
+    MoranBasis,
     cluster_posterior,
     crp_assignment_probs,
     crp_simulate,
@@ -172,7 +173,7 @@ class TestOneAssignmentKernel:
         real = mixture._assignment_logw
 
         def spy(*args, **kwargs):
-            calls.append(len(args[4]))  # the cluster counts weighed against
+            calls.append(len(args[3]) - 1)  # the clusters weighed against the empty one
             return real(*args, **kwargs)
 
         monkeypatch.setattr(mixture, "_assignment_logw", spy)
@@ -191,23 +192,43 @@ class TestOneAssignmentKernel:
         # once per observation per sweep
         assert len(kernel_calls) == 3 * study.truth.n_rows
 
-    def test_prior_only_sampler_skips_kernel(self, small_inputs, kernel_calls):
+    def test_collapsed_sampler_weighs_empty_cluster_last(self, small_inputs, monkeypatch):
+        # after every birth a fresh empty cluster follows: weight alpha, block [Sigma0; 0']
         study, x, _, basis = small_inputs
-        cfg = MixtureConfig(iterations=3, burn_in=1, seed=4, prior_only=True)
-        fit_msmm_dp(study.truth.z, study.truth.d, x, basis, cfg)
-        assert kernel_calls == []
+        p = x.shape[1]
+        last: list = []
+        real = mixture._assignment_logw
+
+        def spy(u_i, z_i, d_i, weights, blocks):
+            last.append((weights[-1], blocks[-1].copy()))
+            return real(u_i, z_i, d_i, weights, blocks)
+
+        monkeypatch.setattr(mixture, "_assignment_logw", spy)
+        cfg = MixtureConfig(iterations=20, burn_in=1, seed=4, alpha_fixed=0.8)
+        fit = fit_msmm_dp(study.truth.z, study.truth.d, x, basis, cfg)
+        assert fit.n_clusters.max() >= 2  # the chain started from one cluster
+        for weight, block in last:
+            assert weight == 0.8
+            assert np.array_equal(block[-1], np.zeros(block.shape[1]))
+            assert np.array_equal(block[:p, :p], cfg.sigma2_beta * np.eye(p))
+            assert np.array_equal(block[:p, p:], np.zeros((p, basis.r)))
 
 
 def _norm_logpdf(x, mean, var):
     return -0.5 * (math.log(2.0 * math.pi) + math.log(var) + (x - mean) ** 2 / var)
 
 
-def cholesky_assignment_logw(u_i, z_i, d_i, new_var, clusters, prec0, log_alpha):
+def cholesky_assignment_logw(u_i, z_i, d_i, clusters, base, log_alpha):
     """Assignment log-weights with one Cholesky factor per cluster.
 
-    ``clusters`` holds (count, F, g) per cluster.  This is the reference
-    for the batched kernel ``mixture._assignment_logw``.
+    ``clusters`` holds (count, F, g) per cluster; a new cluster is weighed
+    by its closed form, u_i' Sigma0 u_i = sigma2_beta |x_i|^2 +
+    sigma2_eta psi_i' K psi_i.  This is the reference for the batched
+    kernel ``mixture._assignment_logw`` over ``mixture._cluster_blocks``.
     """
+    prec0 = base.prior_precision()
+    x_i, psi_i = u_i[: base.p], u_i[base.p :]
+    new_var = base.sigma2_beta * x_i @ x_i + base.sigma2_eta * psi_i @ base.k @ psi_i + d_i
     logw = np.empty(len(clusters) + 1)
     for pos, (count, f, g) in enumerate(clusters):
         chol = np.linalg.cholesky(prec0 + f)
@@ -269,20 +290,15 @@ class TestBatchedKernel:
                 for c in np.unique(labels)
             ]
             partition = [members for members in partition if members]
-            prec0 = base.prior_precision()
-            x_i, psi_i = u[held_out, :p], u[held_out, p:]
-            new_var = mixture._new_cluster_var(
-                base, x_i @ x_i, psi_i @ base.k @ psi_i, d[held_out]
-            )
-            log_alpha = math.log(float(rng.uniform(0.1, 3.0)))
+            alpha = float(rng.uniform(0.1, 3.0))
             want = cholesky_assignment_logw(
-                u[held_out], z[held_out], d[held_out], new_var,
-                [member_sums(members, z, d, u) for members in partition], prec0, log_alpha,
+                u[held_out], z[held_out], d[held_out],
+                [member_sums(members, z, d, u) for members in partition], base, math.log(alpha),
             )
             stats = [mixture._ClusterStats(np.array(m), z, d, u) for m in partition]
-            counts, blocks = mixture._cluster_blocks(stats, prec0)
+            weights, blocks = mixture._cluster_blocks(stats, base, alpha)
             got, _, _ = mixture._assignment_logw(
-                u[held_out], z[held_out], d[held_out], new_var, counts, blocks, log_alpha
+                u[held_out], z[held_out], d[held_out], weights, blocks
             )
             assert got.shape == want.shape
             worst = max(worst, float(np.max(np.abs(got - want))))
@@ -300,7 +316,8 @@ class TestBatchedKernel:
         prec0 = base.prior_precision()
         labels = np.arange(n) % k
         stats = [mixture._ClusterStats(np.flatnonzero(labels == c), z, d, u) for c in range(k)]
-        counts, blocks = mixture._cluster_blocks(stats, prec0)
+        weights, blocks = mixture._cluster_blocks(stats, base, 1.0)
+        counts = weights[:-1]  # a view: the moves below update the weights
         for _ in range(20000):
             i = int(rng.integers(n))
             old, new = labels[i], int(rng.integers(k))
@@ -316,7 +333,10 @@ class TestBatchedKernel:
         partition = [np.flatnonzero(labels == c) for c in range(k)]
         want_counts, want = blocks_from_members(partition, z, d, u, prec0)
         assert np.array_equal(counts, want_counts)
-        assert np.max(np.abs(blocks - want)) < 1e-9
+        assert np.max(np.abs(blocks[:-1] - want)) < 1e-9
+        # the empty cluster's block is the base measure and was never moved
+        assert np.array_equal(blocks[-1, :-1], base.prior_covariance())
+        assert np.array_equal(blocks[-1, -1], np.zeros(p + r))
 
 
 def ew_chain(k, n, a, b, steps, seed, alpha0=1.0):
@@ -473,21 +493,6 @@ class TestCanonicalizeLabels:
         assert np.array_equal(canonicalize_labels(once), once)
 
 
-class TestMixtureState:
-    def test_cluster_sizes_skip_held_out(self):
-        state = MixtureState(assignments=np.array([0, 0, 2, -1, 2, 2]))
-        assert state.cluster_sizes() == {0: 2, 2: 3}
-
-    def test_clusters_pairs_atoms_with_sizes(self):
-        theta = np.ones(3)
-        state = MixtureState(
-            assignments=np.array([1, 1, 4]), thetas={1: theta}
-        )
-        got = state.clusters()
-        assert got[1] == (theta, 2)
-        assert got[4] == (None, 1)
-
-
 class TestMixtureConfig:
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -497,6 +502,23 @@ class TestMixtureConfig:
         with pytest.raises(DomainError):
             MixtureConfig(alpha_fixed=-2.0).validate()
         MixtureConfig().validate()
+
+
+@pytest.fixture(scope="module")
+def blank_inputs(small_inputs):
+    """(z, d, x, basis) of the 18-entry grid with inputs that carry no
+    information: a zero (n, 1) design and a zero (n, 1) basis with K = I.
+
+    Every u_i is 0, so every candidate predicts N(z_i; 0, d_i), the
+    assignment weights are the prior's, and every fitted y is exactly 0.
+    """
+    study = small_inputs[0]
+    n = study.truth.n_rows
+    basis = MoranBasis(
+        psi=np.zeros((n, 1)), eigenvalues=np.ones(1), k_inv=np.eye(1), k=np.eye(1),
+        n_positive=1, tolerance=1e-10,
+    )
+    return study.truth.z, study.truth.d, np.zeros((n, 1)), basis
 
 
 def _canonical_rows(assignments):
@@ -541,27 +563,23 @@ class TestFitDp:
         fit = fit_msmm_dp(study.truth.z, study.truth.d, x, basis, cfg)
         assert np.all(fit.alpha == 0.9)
 
-    def test_prior_only_recovers_crp_law(self, small_inputs):
-        # with the likelihood dropped the sweep is a Gibbs scan over the
-        # seating prior, so cluster counts must match the CRP law
-        study, x, _, basis = small_inputs
-        n = study.truth.n_rows
-        cfg = MixtureConfig(
-            iterations=4000, burn_in=500, seed=6, prior_only=True, alpha_fixed=1.0
-        )
-        fit = fit_msmm_dp(study.truth.z, study.truth.d, x, basis, cfg)
-        want = prior_expected_clusters(1.0, n)
+    def test_prior_only_recovers_crp_law(self, blank_inputs):
+        # with data that carry no information the sweep is a Gibbs scan
+        # over the seating prior, so cluster counts must match the CRP law
+        z, d, x, basis = blank_inputs
+        cfg = MixtureConfig(iterations=4000, burn_in=500, seed=6, alpha_fixed=1.0)
+        fit = fit_msmm_dp(z, d, x, basis, cfg)
+        want = prior_expected_clusters(1.0, z.size)
         assert fit.n_clusters.mean() == pytest.approx(want, abs=0.25)
         assert np.all(fit.y == 0.0)
 
-    def test_prior_only_alpha_marginal_is_prior(self, small_inputs):
+    def test_prior_only_alpha_marginal_is_prior(self, blank_inputs):
         # alpha against a prior-law partition integrates back to Gamma(a, b)
-        study, x, _, basis = small_inputs
+        z, d, x, basis = blank_inputs
         cfg = MixtureConfig(
-            iterations=8000, burn_in=1000, seed=7, prior_only=True,
-            a_alpha=1.0, b_alpha=4.0,
+            iterations=8000, burn_in=1000, seed=7, a_alpha=1.0, b_alpha=4.0
         )
-        fit = fit_msmm_dp(study.truth.z, study.truth.d, x, basis, cfg)
+        fit = fit_msmm_dp(z, d, x, basis, cfg)
         assert fit.alpha.mean() == pytest.approx(0.25, abs=0.035)
 
     def test_finds_structure_in_two_field_truth(self, small_inputs):
@@ -605,17 +623,18 @@ class TestFitTruncated:
         fit = fit_msmm_truncated(study.truth.z, study.truth.d, x, basis, cfg)
         assert np.all(fit.alpha == 1.4)
 
-    def test_prior_only_coclustering_rate(self, small_inputs):
-        # under the stick prior two fixed items share a component with
+    def test_prior_only_coclustering_rate(self, blank_inputs):
+        # with data that carry no information the assignments follow the
+        # stick prior, under which two fixed items share a component with
         # probability 1/(1 + alpha)
-        study, x, _, basis = small_inputs
+        z, d, x, basis = blank_inputs
         cfg = MixtureConfig(
-            iterations=6000, burn_in=500, seed=9, prior_only=True,
-            alpha_fixed=1.0, truncation_m=25,
+            iterations=6000, burn_in=500, seed=9, alpha_fixed=1.0, truncation_m=25
         )
-        fit = fit_msmm_truncated(study.truth.z, study.truth.d, x, basis, cfg)
+        fit = fit_msmm_truncated(z, d, x, basis, cfg)
         together = np.mean(fit.assignments[:, 0] == fit.assignments[:, 1])
         assert together == pytest.approx(0.5, abs=0.05)
+        assert np.all(fit.y == 0.0)
 
     def test_n_clusters_counts_occupied(self, small_inputs):
         study, x, _, basis = small_inputs

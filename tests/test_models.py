@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from areamix import DomainError, FhConfig, MixtureConfig, MsmConfig
@@ -22,6 +24,25 @@ from conftest import write_csv
 def test_chain_settings_rejected(config_class, bad):
     with pytest.raises(DomainError):
         config_class(**bad).validate()
+
+
+@pytest.mark.parametrize(
+    "config_class, name",
+    [
+        (MsmConfig, "sigma2_beta"),
+        (MsmConfig, "a_eta"),
+        (MsmConfig, "sigma2_eta_fixed"),
+        (FhConfig, "b_sigma"),
+        (FhConfig, "sigma2_fixed"),
+        (MixtureConfig, "sigma2_beta"),
+        (MixtureConfig, "a_alpha"),
+        (MixtureConfig, "alpha_fixed"),
+    ],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_settings_rejected(config_class, name, value):
+    with pytest.raises(DomainError, match=f"{name} must be finite and positive"):
+        config_class(**{name: value}).validate()
 
 
 def test_table_builds_each_config_through_cli(tmp_path):
