@@ -67,7 +67,6 @@ from .mixture import (
     fit_msmm_truncated,
     prior_expected_clusters,
     stick_break,
-    update_alpha_escobar_west,
 )
 from .msm import (
     MsmConfig,

@@ -73,7 +73,7 @@ CONFIG_SPEC: dict[str, tuple[str, object]] = {
     "out": ("str", "."),
     "model": ("str", "msmm"),
     "algorithm": ("str", "truncated"),
-    "truncation_m": ("int", 25),
+    "truncation_m": ("int", 25),  # algorithm = truncated only
     "basis_fraction": ("float", 0.5),
     "basis_r": ("int", None),
     "basis_cache": ("str", None),
@@ -126,8 +126,9 @@ def _convert(key: str, raw: str):
 
 
 def read_config(path: str | Path) -> dict:
-    """Parse a flat key = value config file against the known key table."""
+    """Parse a flat key = value config file against the known key table; one line per key."""
     values = {k: default for k, (_, default) in CONFIG_SPEC.items()}
+    first_line: dict[str, int] = {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -142,6 +143,9 @@ def read_config(path: str | Path) -> dict:
         key = key.strip()
         if key not in CONFIG_SPEC:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
         values[key] = _convert(key, value)
     return values
 

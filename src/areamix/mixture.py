@@ -7,17 +7,18 @@ Each observation i carries theta_i = (beta_i, eta_i) in R^{p+r} with
     G0 = N(0, Sigma0),  Sigma0 = blockdiag(sigma2_beta I_p, sigma2_eta K).
 
 Ties among the theta_i induce clusters of observations that share one
-regression surface and one spatial field.  Two samplers are provided:
+regression surface and one spatial field.  Both samplers run one blocked
+sweep over the stick-breaking form G = sum_m pi_m delta(theta_m):
+assignments of all rows at once, sticks, atoms, sigma2_eta over the
+occupied atoms, and alpha from the sticks.
 
-* fit_msmm_dp: collapsed Gibbs over cluster assignments (atoms
-  integrated out of the assignment step, then re-instantiated).
-* fit_msmm_truncated: blocked Gibbs under a finite stick-breaking
-  truncation with M components.
+* fit_msmm_truncated: the process truncated to M components.
+* fit_msmm_dp: the exact process by slice sampling (Walker 2007; Kalli,
+  Griffin and Walker 2011).  Each sweep first draws a slice per row,
+  which admits finitely many components, and holds just those.
 
-Both update sigma2_eta through its inverse-gamma conditional over the
-occupied atoms, and the concentration alpha through the beta-augmented
-gamma mixture (collapsed) or the stick-breaking conjugate form
-(truncated).
+``crp_assignment_probs`` gives the collapsed assignment probabilities
+(atoms integrated out), checked against brute-force enumeration.
 """
 
 from __future__ import annotations
@@ -169,18 +170,6 @@ def _cluster_blocks(
     return weights, blocks
 
 
-def _shift_row(block: np.ndarray, su: np.ndarray, z_i: float, c: float) -> None:
-    """Add or remove row i of one cluster's block in place (Sherman-Morrison).
-
-    ``su = block @ u_i`` = [S u_i; m' u_i].  The step is
-    block += [s; m' u_i - z_i] s' / c with s = S u_i: c = d_i - u_i' s
-    removes the row, c = -(u_i' s + d_i) adds it.
-    """
-    step = su[:-1] / c
-    block += su[:, None] * step
-    block[-1] -= z_i * step
-
-
 def _assignment_logw(u_i, z_i, d_i, weights, blocks):
     """Log-weights of a held-out observation, one per candidate cluster.
 
@@ -237,10 +226,9 @@ def crp_assignment_probs(
 
         alpha * N(z_i; 0, u_i' Sigma0 u_i + d_i).
 
-    The weights are those of the collapsed sampler's assignment step
-    (``fit_msmm_dp``), formed by the same kernel and normalised the same
-    way.  Returns the sorted existing labels and a probability vector
-    whose final entry is the new-cluster probability.
+    The weights of all candidates come from one batched kernel over
+    ``_cluster_blocks``.  Returns the sorted existing labels and a
+    probability vector whose final entry is the new-cluster probability.
     """
     z, d, u = _check_rows(z, d, u, base)
     assign = state.assignments
@@ -255,30 +243,6 @@ def crp_assignment_probs(
     weights, blocks = _cluster_blocks(clusters, base, state.alpha)
     logw, _, _ = _assignment_logw(u[i], z[i], d[i], weights, blocks)
     return labels, _normalise(logw)
-
-
-def update_alpha_escobar_west(
-    alpha: float, k: int, n: int, a_alpha: float, b_alpha: float, rng: np.random.Generator
-) -> float:
-    """Resample the concentration given k occupied clusters among n items.
-
-    Augmented beta-variable scheme: draw zeta ~ Beta(alpha + 1, n), form
-    the odds pi/(1 - pi) = (a_alpha + k - 1) / (n (b_alpha - log zeta)),
-    then draw from Gamma(a_alpha + k, b_alpha - log zeta) with
-    probability pi and from Gamma(a_alpha + k - 1, .) otherwise (shape /
-    rate parameterisation).
-    """
-    if k < 1 or n < 1:
-        raise DomainError("need k >= 1 clusters and n >= 1 observations")
-    if alpha <= 0 or a_alpha <= 0 or b_alpha <= 0:
-        raise DomainError("alpha and its prior parameters must be positive")
-    zeta = float(rng.beta(alpha + 1.0, n))
-    zeta = min(max(zeta, np.finfo(float).tiny), 1.0 - 1e-16)
-    rate = b_alpha - math.log(zeta)
-    odds = (a_alpha + k - 1.0) / (n * rate)
-    pi = odds / (1.0 + odds)
-    shape = a_alpha + k if rng.random() < pi else a_alpha + k - 1.0
-    return float(rng.gamma(shape, 1.0 / rate))
 
 
 def stick_break(v) -> np.ndarray:
@@ -333,7 +297,8 @@ def canonicalize_labels(labels) -> np.ndarray:
 
 @dataclass
 class MixtureConfig(ChainConfig):
-    """Settings shared by both mixture samplers."""
+    """Settings of both mixture samplers; ``truncation_m`` (M) is read by
+    ``fit_msmm_truncated`` only."""
 
     sigma2_beta: float = 100.0
     a_eta: float = 0.1
@@ -406,94 +371,160 @@ def _draw_atoms(rng, stats, base: BaseMeasure, chol_k, config: MixtureConfig, t:
     return theta, occupied, draw_inverse_gamma(rng, shape, scale)
 
 
-def fit_msmm_dp(
-    z, d, x, basis: MoranBasis, config: MixtureConfig | None = None
-) -> MixturePosterior:
-    """Collapsed Gibbs for the mixture model.
-
-    Scan per iteration: (1) one pass of assignment updates with atoms
-    integrated out, spawning and deleting clusters as needed; (2) atom
-    redraw per cluster from its Gaussian posterior; (3) sigma2_eta from
-    InverseGamma(a_eta + k r / 2, b_eta + sum_c eta_c' K^{-1} eta_c / 2);
-    (4) alpha by the augmented beta-gamma step.  Starts from a single
-    cluster holding every observation, alpha = 1, sigma2_eta = 1.
-
-    Clusters are numbered 0..K-1 in order of creation.  Their atom
-    posteriors are rebuilt from the member rows once per sweep and kept
-    current within the pass by rank-one steps as rows leave and join.
-    The candidates of each assignment are the K clusters and, last, a
-    cluster with no members (posterior: the base measure, weight alpha);
-    a row that picks it makes it cluster K, and a new empty one follows.
-    """
+def _prepare(z, d, x, basis: MoranBasis, config: MixtureConfig | None):
+    """Checked settings and rows of a fit: (config, z, d, u = [x, psi], p)."""
     config = config or MixtureConfig()
     config.validate()
     z, d, x, psi = _check_data(z, d, x, basis.psi)
-    n, p = x.shape
-    u = np.hstack([x, psi])
+    return config, z, d, np.hstack([x, psi]), x.shape[1]
 
+
+def _assign(rng, z, d, u, theta, log_prior, log_d_term) -> np.ndarray:
+    """Each row's component from log_prior + log N(z_i; u_i' theta_m, d_i), by
+    one Gumbel-max over the (n, M) array; ``log_prior`` is log pi_m under the
+    truncation and 0 or -inf (the row's slice admits m or not) when sliced."""
+    means = u @ theta.T
+    logw = log_prior - 0.5 * (z[:, None] - means) ** 2 / d[:, None] + log_d_term[:, None]
+    return np.argmax(logw + rng.gumbel(size=logw.shape), axis=1)
+
+
+def _draw_sticks(rng, counts: np.ndarray, alpha: float) -> np.ndarray:
+    """Sticks V_m ~ Beta(1 + n_m, alpha + sum_{l>m} n_l) of the first M - 1 of
+    the M components counted in ``counts``; the last takes the rest."""
+    m_comp = counts.size
+    tail = counts[::-1].cumsum()[::-1]
+    v = rng.beta(1.0 + counts[: m_comp - 1], alpha + tail[1:])
+    return np.clip(v, _STICK_EPS, 1.0 - _STICK_EPS)
+
+
+def _component_stats(c: np.ndarray, m_comp: int, z, d, u):
+    """``_ClusterStats`` of components 0..m_comp-1 under labels c (None when
+    empty), one at a time: holding all M keeps M (q, q) arrays alive."""
+    return (
+        _ClusterStats(idx, z, d, u) if idx.size else None
+        for idx in (np.flatnonzero(c == m) for m in range(m_comp))
+    )
+
+
+def _draw_alpha(rng, v: np.ndarray, alpha: float, config: MixtureConfig) -> float:
+    """alpha ~ Gamma(a_alpha + M - 1, b_alpha - sum_m log(1 - V_m)) given the
+    M - 1 sticks of ``_draw_sticks``; a pinned ``alpha_fixed`` stays."""
+    if config.alpha_fixed is not None:
+        return alpha
+    m_comp = v.size + 1
+    rate = config.b_alpha - float(np.sum(np.log1p(-v)))
+    return float(rng.gamma(config.a_alpha + m_comp - 1.0, 1.0 / rate))
+
+
+def _record(draws: DrawRecorder, t: int, u, theta, c, alpha, sigma2_eta, k_occ) -> None:
+    """Check the sweep's draws for divergence and keep them if ``t`` is retained."""
+    y = np.einsum("ij,ij->i", u, theta[c])
+    if not (np.isfinite(alpha) and np.isfinite(sigma2_eta) and np.all(np.isfinite(y))):
+        raise DivergenceError("non-finite draw", iteration=t)
+    if draws.wants(t):
+        draws.record(
+            y=y,
+            alpha=alpha,
+            sigma2_eta=sigma2_eta,
+            n_clusters=np.int32(k_occ),
+            assignments=canonicalize_labels(c),
+        )
+
+
+def _switch_labels(rng, c: np.ndarray, v: np.ndarray, alpha: float):
+    """Label-switching moves (after Papaspiliopoulos and Roberts 2008; Hastie,
+    Liverani and Richardson 2015), atoms integrated out.
+
+    The other steps barely move the clusters' stick-breaking order, which
+    the alpha step reads.  So for j = 0, 1, ... up to the last occupied
+    component, components j and j + 1 propose to trade places and weights:
+    V_j' = V_{j+1}(1 - V_j), V_{j+1}' = V_j / (1 - V_j').  The map is its
+    own inverse and keeps the likelihood and the stick prior, so it is
+    accepted with its Jacobian (1 - V_j) / (1 - V_j').  A stick past the
+    last one comes from its prior Beta(1, alpha).  Returns the relabelled
+    c and the sticks up to the last occupied component.
+    """
+    counts = np.bincount(c, minlength=v.size).tolist()
+    sticks = v.tolist()
+    slot = list(range(len(counts)))  # slot[j]: the component now at position j
+    top = int(c.max())
+    j = 0
+    while j <= top:
+        if j + 1 == len(sticks):
+            sticks.append(float(np.clip(rng.beta(1.0, alpha), _STICK_EPS, 1.0 - _STICK_EPS)))
+            counts.append(0)
+            slot.append(len(slot))
+        v_j, v_next = sticks[j], sticks[j + 1]
+        rest = 1.0 - v_next * (1.0 - v_j)  # 1 - V_j'
+        if rng.random() < (1.0 - v_j) / rest:
+            pair = np.clip([1.0 - rest, v_j / rest], _STICK_EPS, 1.0 - _STICK_EPS)
+            sticks[j], sticks[j + 1] = pair.tolist()
+            counts[j], counts[j + 1] = counts[j + 1], counts[j]
+            slot[j], slot[j + 1] = slot[j + 1], slot[j]
+            top = max(m for m, count in enumerate(counts) if count)
+        j += 1
+    return np.argsort(slot)[c], np.array(sticks[: top + 1])
+
+
+def fit_msmm_dp(
+    z, d, x, basis: MoranBasis, config: MixtureConfig | None = None
+) -> MixturePosterior:
+    """Slice sampler for the mixture model: the exact process, no truncation.
+
+    The state is a labelling c, the sticks V_1..V_K of the components up
+    to the last occupied one, their atoms, alpha and sigma2_eta.  A sweep:
+
+    (1) slices s_i ~ U(0, pi_{c_i}); sticks V ~ Beta(1, alpha) and base
+        atoms are added until the mass past the last one is below
+        min_i s_i, so every component a slice admits is held;
+    (2) assignments from 1(pi_m > s_i) N(z_i; u_i' theta_m, d_i);
+    (3) sticks V_m ~ Beta(1 + n_m, alpha + sum_{l>m} n_l) up to the last
+        occupied component, then ``_switch_labels``;
+    (4) atoms of those components and sigma2_eta, as in the truncated
+        sampler;
+    (5) alpha ~ Gamma(a_alpha + K, b_alpha - sum_m log(1 - V_m)) over the
+        K sticks of (3); later sticks are drawn afresh under it.
+
+    The chain starts where a sweep does, from a labelling with sticks and
+    atoms drawn given it: a partition from ``crp_simulate``, sticks as in
+    (3), atoms from the cluster posteriors, alpha = 1, sigma2_eta = 1.
+    ``truncation_m`` is not read.
+    """
+    config, z, d, u, p = _prepare(z, d, x, basis, config)
     rng = np.random.default_rng(config.seed)
-    assignments = np.zeros(n, dtype=int)
-    stats = [_ClusterStats(np.arange(n), z, d, u)]
+    chol_k = np.linalg.cholesky(basis.k)
+
     alpha = config.alpha_fixed if config.alpha_fixed is not None else 1.0
     sigma2_eta = 1.0
+    log_d_term = -0.5 * (_LOG_2PI + np.log(d))
+    c = crp_simulate(alpha, z.size, rng)
+    v = _draw_sticks(rng, np.bincount(c, minlength=c.max() + 2), alpha)
+    prec0 = BaseMeasure.from_basis(basis, p, config.sigma2_beta, sigma2_eta).prior_precision()
+    theta = np.array(
+        [_posterior_draw(rng, *st.posterior(prec0)) for st in _component_stats(c, v.size, z, d, u)]
+    )
 
     draws = DrawRecorder(config)
     for t in range(config.iterations):
         base = BaseMeasure.from_basis(basis, p, config.sigma2_beta, sigma2_eta)
-        weights, blocks = _cluster_blocks(stats, base, alpha)
-        empty = blocks[-1:].copy()
+        pi = stick_break(v)  # the K weights, then the mass past them
+        s = pi[c] * rng.random(z.size)
+        rest, added = pi[-1], []
+        while rest >= s.min():
+            added.append(np.clip(rng.beta(1.0, alpha), _STICK_EPS, 1.0 - _STICK_EPS))
+            rest *= 1.0 - added[-1]
+            theta = np.vstack([theta, base.draw(rng, chol_k)])
+        v = np.append(v, added)
+        pi = stick_break(v)
 
-        for i in range(n):
-            u_i = u[i]
-            z_i = z[i]
-            d_i = d[i]
-            old = assignments[i]
-            weights[old] -= 1
-            if weights[old] == 0:
-                # drop the emptied cluster; the later ones keep their order
-                weights = np.delete(weights, old)
-                blocks = np.delete(blocks, old, axis=0)
-                assignments[assignments > old] -= 1
-            else:
-                su = blocks[old] @ u_i
-                _shift_row(blocks[old], su, z_i, d_i - su[:-1] @ u_i)
-
-            k = weights.size - 1  # candidate k is the empty cluster
-            logw, su, var = _assignment_logw(u_i, z_i, d_i, weights, blocks)
-            pick = int(_normalise(logw).cumsum().searchsorted(rng.random()))
-            pick = min(pick, k)
-            _shift_row(blocks[pick], su[pick], z_i, -var[pick])
-            if pick == k:
-                # the empty cluster became cluster k; a new empty one follows it
-                weights[k] = 0.0
-                weights = np.append(weights, alpha)
-                blocks = np.concatenate([blocks, empty])
-            weights[pick] += 1
-            assignments[i] = pick
-
-        k = weights.size - 1
-        members = [np.flatnonzero(assignments == c) for c in range(k)]
-        stats = [_ClusterStats(idx, z, d, u) for idx in members]
-        theta, _, sigma2_eta = _draw_atoms(rng, stats, base, None, config, t)
-        y = np.empty(n)
-        for c, idx in enumerate(members):
-            y[idx] = u[idx] @ theta[c]
-
-        if config.alpha_fixed is None:
-            alpha = update_alpha_escobar_west(
-                alpha, k, n, config.a_alpha, config.b_alpha, rng
-            )
-        if not (np.isfinite(alpha) and np.isfinite(sigma2_eta) and np.all(np.isfinite(y))):
-            raise DivergenceError("non-finite draw", iteration=t)
-
-        if draws.wants(t):
-            draws.record(
-                y=y,
-                alpha=alpha,
-                sigma2_eta=sigma2_eta,
-                n_clusters=np.int32(k),
-                assignments=canonicalize_labels(assignments),
-            )
+        admitted = np.where(pi[None, :-1] > s[:, None], 0.0, -np.inf)
+        c = _assign(rng, z, d, u, theta, admitted, log_d_term)
+        v = _draw_sticks(rng, np.bincount(c, minlength=c.max() + 2), alpha)
+        c, v = _switch_labels(rng, c, v, alpha)
+        stats = _component_stats(c, v.size, z, d, u)
+        theta, k_occ, sigma2_eta = _draw_atoms(rng, stats, base, chol_k, config, t)
+        alpha = _draw_alpha(rng, v, alpha, config)
+        _record(draws, t, u, theta, c, alpha, sigma2_eta, k_occ)
 
     return MixturePosterior(**draws.columns, seed=config.seed)
 
@@ -510,13 +541,8 @@ def fit_msmm_truncated(
     sigma2_eta over occupied components; alpha ~ Gamma(a_alpha + M - 1,
     b_alpha - sum_{m<M} log(1 - V_m)).
     """
-    config = config or MixtureConfig()
-    config.validate()
-    z, d, x, psi = _check_data(z, d, x, basis.psi)
-    n, p = x.shape
-    u = np.hstack([x, psi])
+    config, z, d, u, p = _prepare(z, d, x, basis, config)
     m_comp = config.truncation_m
-
     rng = np.random.default_rng(config.seed)
     chol_k = np.linalg.cholesky(basis.k)
 
@@ -531,45 +557,14 @@ def fit_msmm_truncated(
     for t in range(config.iterations):
         with np.errstate(divide="ignore"):
             log_pi = np.log(pi)
-        means = u @ theta.T
-        logw = (
-            log_pi[None, :]
-            - 0.5 * (z[:, None] - means) ** 2 / d[:, None]
-            + log_d_term[:, None]
-        )
-        gumbel = rng.gumbel(size=(n, m_comp))
-        c = np.argmax(logw + gumbel, axis=1)
-        counts = np.bincount(c, minlength=m_comp)
-
-        tail = counts[::-1].cumsum()[::-1]
-        v = rng.beta(1.0 + counts[: m_comp - 1], alpha + tail[1:])
-        v = np.clip(v, _STICK_EPS, 1.0 - _STICK_EPS)
+        c = _assign(rng, z, d, u, theta, log_pi, log_d_term)
+        v = _draw_sticks(rng, np.bincount(c, minlength=m_comp), alpha)
         pi = stick_break(v)
 
         base = BaseMeasure.from_basis(basis, p, config.sigma2_beta, sigma2_eta)
-        # one component's statistics at a time: holding all M at once keeps
-        # M (q, q) arrays alive
-        stats = (
-            _ClusterStats(idx, z, d, u) if idx.size else None
-            for idx in (np.flatnonzero(c == m) for m in range(m_comp))
-        )
+        stats = _component_stats(c, m_comp, z, d, u)
         theta, k_occ, sigma2_eta = _draw_atoms(rng, stats, base, chol_k, config, t)
-
-        if config.alpha_fixed is None:
-            rate = config.b_alpha - float(np.sum(np.log1p(-v)))
-            alpha = float(rng.gamma(config.a_alpha + m_comp - 1.0, 1.0 / rate))
-
-        y = np.einsum("ij,ij->i", u, theta[c])
-        if not (np.isfinite(alpha) and np.isfinite(sigma2_eta) and np.all(np.isfinite(y))):
-            raise DivergenceError("non-finite draw", iteration=t)
-
-        if draws.wants(t):
-            draws.record(
-                y=y,
-                alpha=alpha,
-                sigma2_eta=sigma2_eta,
-                n_clusters=np.int32(k_occ),
-                assignments=canonicalize_labels(c),
-            )
+        alpha = _draw_alpha(rng, v, alpha, config)
+        _record(draws, t, u, theta, c, alpha, sigma2_eta, k_occ)
 
     return MixturePosterior(**draws.columns, seed=config.seed)

@@ -17,7 +17,8 @@ from .fh import FhConfig
 from .mixture import MixtureConfig
 from .msm import ChainConfig, MsmConfig
 
-# samplers for msmm: collapsed Dirichlet process or truncated stick-breaking
+# samplers for msmm: truncated stick-breaking, or the exact Dirichlet process by
+# slice sampling; both run the same blocked sweep
 MSMM_ALGORITHMS = ("truncated", "dp")
 
 

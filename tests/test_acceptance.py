@@ -352,7 +352,7 @@ def test_07_dp_truncation_agreement(grid_study):
     gap = float(np.max(np.abs(fit_dp.y.mean(axis=0) - fit_tr.y.mean(axis=0))))
     _verdict(
         7,
-        "collapsed and truncated samplers agree on posterior means",
+        "slice and truncated samplers agree on posterior means",
         gap < 0.1,
         f"max |mean diff| {gap:.3f}",
     )

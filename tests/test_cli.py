@@ -11,16 +11,19 @@ from conftest import write_csv
 
 
 def fit_config(fixture10, tmp_path, **extra):
-    lines = [
-        f"tabulation = {fixture10 / 'tabulation.csv'}",
-        f"adjacency = {fixture10 / 'adjacency.txt'}",
-        f"population = {fixture10 / 'population.csv'}",
-        "iterations = 160",
-        "burn_in = 40",
-        "chains = 2",
-        "seed = 7",
-    ]
-    lines += [f"{k} = {v}" for k, v in extra.items()]
+    """A fit config on fixture10; ``extra`` keys replace the defaults (a key
+    may be set only once)."""
+    values = {
+        "tabulation": fixture10 / "tabulation.csv",
+        "adjacency": fixture10 / "adjacency.txt",
+        "population": fixture10 / "population.csv",
+        "iterations": 160,
+        "burn_in": 40,
+        "chains": 2,
+        "seed": 7,
+    }
+    values.update(extra)
+    lines = [f"{k} = {v}" for k, v in values.items()]
     return write_csv(tmp_path / "run.cfg", "\n".join(lines) + "\n")
 
 
@@ -262,6 +265,19 @@ class TestErrorExits:
     def test_invalid_iterations_is_config_error(self, fixture10, tmp_path, capsys):
         cfg = fit_config(fixture10, tmp_path, burn_in=500)  # exceeds iterations
         assert main(["fit", str(cfg), "--out", str(tmp_path / 'x')]) == 2
+
+    def test_repeated_key_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # the second model line must not silently win; the error names both
+        # lines and comes before any input is read
+        def no_input(*args, **kwargs):
+            raise AssertionError("input read despite a config error")
+
+        monkeypatch.setattr(cli, "load_tabulation", no_input)
+        cfg = write_csv(tmp_path / "c.cfg", "# models\nmodel = msm\n\nmodel = msmm\n")
+        with pytest.raises(ConfigError, match=r"c\.cfg:4: .*'model'.*line 2"):
+            read_config(cfg)
+        assert main(["fit", str(cfg), "--out", str(tmp_path / 'x')]) == 2
+        assert "line 2" in capsys.readouterr().err
 
 
 class TestManifest:

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 from scipy.linalg import solve_triangular
-from scipy.special import betaln
+from scipy.special import betaln, gammaln
 
 from areamix import (
     BaseMeasure,
@@ -13,18 +14,24 @@ from areamix import (
     MixtureConfig,
     MixtureState,
     MoranBasis,
+    build_adjacency,
+    build_basis,
+    build_design,
     cluster_posterior,
     crp_assignment_probs,
     crp_simulate,
+    expand_multivariate,
     fit_msmm_dp,
     fit_msmm_truncated,
     prior_expected_clusters,
     stick_break,
-    update_alpha_escobar_west,
 )
 from areamix import mixture
+from areamix.diagnostics import batch_means_se
 from areamix.mixture import canonicalize_labels
+from areamix.synthetic import two_field_study
 
+from collapsed_reference import fit_collapsed, shift_row, update_alpha_escobar_west
 from test_msm import joint_gaussian_condition
 
 
@@ -165,7 +172,7 @@ class TestAlphaValidation:
 
 
 class TestOneAssignmentKernel:
-    """The oracle-checked probabilities and the sampler share one kernel."""
+    """The oracle-checked probabilities and the collapsed reference sampler share one kernel."""
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch) -> list:
@@ -188,7 +195,7 @@ class TestOneAssignmentKernel:
     def test_collapsed_sampler_calls_kernel(self, small_inputs, kernel_calls):
         study, x, _, basis = small_inputs
         cfg = MixtureConfig(iterations=3, burn_in=1, seed=4)
-        fit_msmm_dp(study.truth.z, study.truth.d, x, basis, cfg)
+        fit_collapsed(study.truth.z, study.truth.d, x, basis, cfg)
         # once per observation per sweep
         assert len(kernel_calls) == 3 * study.truth.n_rows
 
@@ -205,7 +212,8 @@ class TestOneAssignmentKernel:
 
         monkeypatch.setattr(mixture, "_assignment_logw", spy)
         cfg = MixtureConfig(iterations=20, burn_in=1, seed=4, alpha_fixed=0.8)
-        fit = fit_msmm_dp(study.truth.z, study.truth.d, x, basis, cfg)
+        fit = fit_collapsed(study.truth.z, study.truth.d, x, basis, cfg)
+        assert len(last) == 20 * study.truth.n_rows
         assert fit.n_clusters.max() >= 2  # the chain started from one cluster
         for weight, block in last:
             assert weight == 0.8
@@ -324,9 +332,9 @@ class TestBatchedKernel:
             if counts[old] == 1 or new == old:
                 continue
             su = blocks[old] @ u[i]
-            mixture._shift_row(blocks[old], su, z[i], d[i] - su[:-1] @ u[i])
+            shift_row(blocks[old], su, z[i], d[i] - su[:-1] @ u[i])
             su = blocks[new] @ u[i]
-            mixture._shift_row(blocks[new], su, z[i], -(su[:-1] @ u[i] + d[i]))
+            shift_row(blocks[new], su, z[i], -(su[:-1] @ u[i] + d[i]))
             counts[old] -= 1
             counts[new] += 1
             labels[i] = new
@@ -596,6 +604,90 @@ class TestFitDp:
         cfg = MixtureConfig(iterations=10, burn_in=1, seed=1)
         with pytest.raises((DivergenceError, FloatingPointError)):
             fit_msmm_dp(z, study.truth.d, x, basis, cfg)
+
+    def test_not_truncated(self, blank_inputs):
+        # truncation_m binds the truncated sampler only: under a large
+        # concentration the slices admit as many components as the prior asks for
+        z, d, x, basis = blank_inputs
+        cfg = MixtureConfig(iterations=60, burn_in=10, seed=8, alpha_fixed=20.0, truncation_m=2)
+        fit = fit_msmm_dp(z, d, x, basis, cfg)
+        assert fit.n_clusters.min() > 2
+        want = prior_expected_clusters(20.0, z.size)
+        assert fit.n_clusters.mean() == pytest.approx(want, abs=2.0)
+
+
+class TestSwitchLabels:
+    def test_keeps_the_labelling_law(self):
+        # sticks given the labels, then the label moves, over and over on a
+        # two-block partition: each labelling must turn up as often as the
+        # prior weighs it, P(c) = prod_j B(1 + n_j, alpha + n_{>j}) / B(1, alpha)
+        # over the components up to the last occupied one, divided by the
+        # partition's probability alpha^2 Gamma(alpha) Gamma(a) Gamma(b) / Gamma(alpha + a + b)
+        a, b, alpha = 5, 2, 0.7
+        rng = np.random.default_rng(71)
+        c = np.array([0] * a + [1] * b)
+        first = np.empty(20000)
+        for t in range(first.size):
+            v = mixture._draw_sticks(rng, np.bincount(c, minlength=c.max() + 2), alpha)
+            c, v = mixture._switch_labels(rng, c, v, alpha)
+            assert v.size == c.max() + 1
+            first[t] = c[0] == 0 and c[-1] == 1  # the a-block first, the b-block second
+
+        def log_weight(counts):
+            tails = np.cumsum(counts[::-1])[::-1]
+            tails = np.append(tails[1:], 0)
+            return float(np.sum(betaln(1 + counts, alpha + tails) - betaln(1, alpha)))
+
+        log_partition = (
+            2 * math.log(alpha) + gammaln(alpha) + gammaln(a) + gammaln(b) - gammaln(alpha + a + b)
+        )
+        want = math.exp(log_weight(np.array([a, b])) - log_partition)
+        assert abs(first.mean() - want) < 4.0 * batch_means_se(first)
+
+
+def _mcse_gap(a, b) -> float:
+    """|mean(a) - mean(b)| over the two chains' joint batch-means standard error."""
+    se = math.hypot(batch_means_se(a), batch_means_se(b))
+    diff = abs(float(np.mean(a)) - float(np.mean(b)))
+    if se == 0.0:
+        return 0.0 if diff == 0.0 else math.inf
+    return diff / se
+
+
+@pytest.fixture(scope="module", params=[3, 4], ids=["side3", "side4"])
+def two_chains(request):
+    """Slice and collapsed-reference fits of one two-field grid, alpha free."""
+    study = two_field_study(request.param, request.param, 2, seed=0)
+    x, _ = build_design(study.truth, study.population)
+    a = expand_multivariate(build_adjacency(study.areas, study.edges), study.n_cells)
+    basis = build_basis(x, a)
+    z, d = study.truth.z, study.truth.d
+    cfg = MixtureConfig(iterations=2500, burn_in=500, seed=21)
+    return fit_msmm_dp(z, d, x, basis, cfg), fit_collapsed(z, d, x, basis, replace(cfg, seed=22))
+
+
+class TestSliceMatchesCollapsed:
+    """The slice sampler and the collapsed reference share no sweep code and
+    target one posterior, so their estimates agree within Monte Carlo error.
+
+    As in acceptance 01, a gap is an error over its batch-means standard
+    error; four of them allow for the several dozen estimates compared.
+    """
+
+    def test_posterior_means_of_y_and_alpha(self, two_chains):
+        sliced, collapsed = two_chains
+        gaps = [_mcse_gap(sliced.y[:, j], collapsed.y[:, j]) for j in range(sliced.y.shape[1])]
+        gaps.append(_mcse_gap(sliced.alpha, collapsed.alpha))
+        assert max(gaps) < 4.0
+
+    def test_cluster_count_law(self, two_chains):
+        sliced, collapsed = two_chains
+        top = int(max(sliced.n_clusters.max(), collapsed.n_clusters.max()))
+        gaps = [
+            _mcse_gap(sliced.n_clusters <= k, collapsed.n_clusters <= k) for k in range(1, top)
+        ]
+        gaps.append(_mcse_gap(sliced.n_clusters, collapsed.n_clusters))
+        assert max(gaps) < 4.0
 
 
 class TestFitTruncated:

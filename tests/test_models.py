@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from areamix import DomainError, FhConfig, MixtureConfig, MsmConfig
+from areamix import DomainError, FhConfig, MixtureConfig, MsmConfig, fh, mixture, msm
 from areamix.cli import _model_config, read_config
 from areamix.models import MODELS
 
@@ -68,3 +68,35 @@ def test_explicit_iterations_override_table_defaults(tmp_path):
     for model in MODELS.values():
         cfg = _model_config(config, model)
         assert (cfg.iterations, cfg.burn_in) == (90, 30)
+
+
+SAMPLERS = [
+    (msm, "fit_msm", MsmConfig, True),
+    (fh, "fit_fh", FhConfig, False),
+    (mixture, "fit_msmm_truncated", MixtureConfig, True),
+    (mixture, "fit_msmm_dp", MixtureConfig, True),
+]
+
+
+@pytest.mark.parametrize(
+    "module, name, config_class, needs_basis", SAMPLERS, ids=[s[1] for s in SAMPLERS]
+)
+def test_one_inverse_gamma_draw_per_sweep(
+    small_inputs, monkeypatch, module, name, config_class, needs_basis
+):
+    # the benchmark times sweeps by stamping each call of draw_inverse_gamma,
+    # as bound in the sampler's own module, so every sampler makes exactly
+    # one such call per sweep under its default settings
+    study, x, _, basis = small_inputs
+    calls: list = []
+    real = module.draw_inverse_gamma
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "draw_inverse_gamma", counted)
+    config = config_class(iterations=17, burn_in=3, seed=5)
+    data = (study.truth.z, study.truth.d, x) + ((basis,) if needs_basis else ())
+    getattr(module, name)(*data, config)
+    assert len(calls) == config.iterations
