@@ -28,7 +28,8 @@ population = {area: float(rng.integers(800, 60000)) for area in areas}
 
 n_cells = 2
 x, names = build_design(SimpleNamespace(areas=tuple(areas), n_cells=n_cells), population)
-a = expand_multivariate(build_adjacency(areas, edges), n_cells)
+w = build_adjacency(areas, edges)
+a = expand_multivariate(w, n_cells)
 print(f"{len(areas)} areas x {n_cells} cells -> {a.shape[0]} entries")
 print("design columns:", names)
 
@@ -42,6 +43,12 @@ basis = build_basis(x, a, fraction=0.5)
 print(f"selected r = {basis.r} (half of the positive spectrum)")
 print(f"max |psi' x|      = {np.max(np.abs(basis.psi.T @ x)):.2e}")
 print(f"max |psi'psi - I| = {np.max(np.abs(basis.psi.T @ basis.psi - np.eye(basis.r))):.2e}")
+
+# the 25 x 25 area adjacency gives the same basis without the 50 x 50 one:
+# L = n / m = 2 cells per area is read from the shapes
+area = build_basis(x, w, fraction=0.5)
+gap = np.max(np.abs(area.psi @ area.psi.T - basis.psi @ basis.psi.T))
+print(f"area-level path: r = {area.r}, max |projector difference| = {gap:.1e}")
 
 # the basis inherits its prior precision from the ICAR structure
 q = icar_precision(a)

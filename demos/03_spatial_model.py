@@ -19,7 +19,6 @@ from areamix import (
     build_basis,
     build_design,
     diagnostics_report,
-    expand_multivariate,
     fit_msm,
 )
 from areamix.synthetic import grid_graph
@@ -37,8 +36,8 @@ truth = 3.0 + 0.8 * (rows / 4.0) + 0.3 * (x[:, 1] - x[:, 1].mean()) - 0.2 * (np.
 d = rng.uniform(0.05, 0.25, size=n)
 z = truth + rng.normal(0.0, np.sqrt(d))
 
-a = expand_multivariate(build_adjacency(areas, edges), n_cells)
-basis = build_basis(x, a, fraction=0.5)
+# the area adjacency: L = n / m = 2 cells per area, read from the shapes
+basis = build_basis(x, build_adjacency(areas, edges), fraction=0.5)
 config = MsmConfig(iterations=4000, burn_in=1000, seed=1)
 chains = [fit_msm(z, d, x, basis, replace(config, seed=s)) for s in (1, 2)]
 

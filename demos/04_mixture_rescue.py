@@ -15,7 +15,6 @@ from areamix import (
     MsmConfig,
     build_adjacency,
     build_basis,
-    expand_multivariate,
     fit_msm,
     fit_msmm_truncated,
     perturb,
@@ -27,8 +26,7 @@ study = two_field_study(6, 6, 4, seed=2)
 n = study.truth.n_rows
 log_pop = np.log([study.population[area] for area in study.areas])
 x = np.column_stack([np.ones(n), np.repeat(log_pop, study.n_cells)])
-a = expand_multivariate(build_adjacency(study.areas, study.edges), study.n_cells)
-basis = build_basis(x, a, r=10)
+basis = build_basis(x, build_adjacency(study.areas, study.edges), r=10)
 
 rng = np.random.default_rng(5)
 z = perturb(study.truth.z, study.truth.d, rng)

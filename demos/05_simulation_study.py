@@ -16,7 +16,6 @@ from areamix import (
     StudyConfig,
     build_adjacency,
     build_basis,
-    expand_multivariate,
     fit_fh,
     perturb,
     run_study,
@@ -27,8 +26,7 @@ study = two_field_study(6, 6, 4, seed=8)
 n = study.truth.n_rows
 log_pop = np.log([study.population[area] for area in study.areas])
 x = np.column_stack([np.ones(n), np.repeat(log_pop, study.n_cells)])
-a = expand_multivariate(build_adjacency(study.areas, study.edges), study.n_cells)
-basis = build_basis(x, a, r=10)
+basis = build_basis(x, build_adjacency(study.areas, study.edges), r=10)
 
 # the classical baseline: independent area effects, no spatial borrowing
 rng = np.random.default_rng(0)

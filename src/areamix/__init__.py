@@ -8,7 +8,7 @@ small-area predictions:
 >>> log_table = am.gvf_impute(am.log_transform(table))
 >>> x, _ = am.build_design(log_table, am.read_population_csv("population.csv"))
 >>> w = am.build_adjacency(log_table.areas, am.read_edge_list("adjacency.txt"))
->>> basis = am.build_basis(x, am.expand_multivariate(w, log_table.n_cells))
+>>> basis = am.build_basis(x, w)  # L = n / m cells per area; n x n is L = 1
 >>> fit = am.fit_msmm_truncated(log_table.z, log_table.d, x, basis,
 ...                             am.MixtureConfig(seed=1))
 >>> summary = am.predict_summaries(fit)

@@ -5,12 +5,16 @@ complement of the fixed-effect design, and its leading eigenvectors give
 a basis for smooth spatial variation that the covariates cannot absorb.
 The induced prior precision for basis coefficients is Psi' Q Psi, which
 is the Frobenius-optimal restriction of the full graph precision Q.
+For a table of L cells per area all of it is computed on the m x m area
+adjacency and lifted to the n = m L entries (see ``build_basis``).
 """
 
 from __future__ import annotations
 
 import io
 import math
+import os
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,6 +30,8 @@ from .errors import (
 from .util import sha256_bytes
 
 EIGENVALUE_TOLERANCE = 1e-10
+# how far an eigenvalue of S'S may sit from 0 or 1 (see moran_operator)
+PROJECTOR_TOLERANCE = 1e-10
 DEFAULT_FRACTION = 0.5
 
 
@@ -58,22 +64,43 @@ class MoranBasis:
 
 
 def moran_operator(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """(I - P_X) A (I - P_X) with P_X the projector onto col(X)."""
+    """(I - SS') A (I - SS') over the m rows of the adjacency A.
+
+    The design's n rows are L = n / m entries per row of A, area-major;
+    S is the per-area sums of an orthonormal basis of col(X) over
+    sqrt(L).  An n x n A (L = 1) gives (I - P_X) A (I - P_X).  An m x m
+    area adjacency W gives the operator whose eigenpairs (v, lam) are
+    (v (x) 1_L / sqrt(L), L lam) for (I - P_X)(W (x) J_L)(I - P_X).
+    That needs col(X) to split into area-level and within-area parts
+    (S'S a projector); otherwise this raises DomainError.
+    """
     x = np.asarray(x, dtype=float)
     a = np.asarray(a, dtype=float)
     if x.ndim != 2:
         raise ShapeError("design matrix must be 2-D")
     n, p = x.shape
-    if a.shape != (n, n):
-        raise ShapeError(f"adjacency is {a.shape}, design has {n} rows")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ShapeError(f"adjacency must be square, got {a.shape}")
+    m = a.shape[0]
+    if m == 0 or n == 0 or n % m:
+        raise ShapeError(f"design has {n} rows, not a positive multiple of the adjacency's {m}")
     if not np.allclose(a, a.T):
         raise DomainError("adjacency must be symmetric")
     if np.linalg.matrix_rank(x) < p:
         raise RankError("design matrix is rank deficient")
     q_x, _ = np.linalg.qr(x)
-    # G = A - Q(Q'A) - (AQ)Q' + Q(Q'AQ)Q' without forming the projector
-    qa = q_x.T @ a
-    g = a - q_x @ qa - qa.T @ q_x.T + q_x @ (qa @ q_x) @ q_x.T
+    cells = n // m
+    s = q_x.reshape(m, cells, p).sum(axis=1) / math.sqrt(cells)
+    overlap = np.linalg.eigvalsh(s.T @ s)
+    if np.any(np.minimum(np.abs(overlap), np.abs(overlap - 1.0)) > PROJECTOR_TOLERANCE):
+        raise DomainError(
+            f"the design varies within areas beyond cell effects, so the basis does not "
+            f"reduce to the {m} x {m} adjacency; pass the entry-level adjacency "
+            f"expand_multivariate(w, {cells}) instead"
+        )
+    # G = A - S(S'A) - (AS)S' + S(S'AS)S' without forming the projector
+    sa = s.T @ a
+    g = a - s @ sa - sa.T @ s.T + s @ (sa @ s) @ s.T
     return (g + g.T) / 2.0
 
 
@@ -175,18 +202,24 @@ def build_basis(
 ) -> MoranBasis:
     """Full pipeline: operator, eigenvector selection, induced prior.
 
-    The graph precision Q is formed only after the eigensolve, once the
-    operator is freed, so the two dense matrices are never held together.
+    ``x`` is the n x p entry-level design and ``a`` an m x m adjacency
+    over L = n / m entries per row, area-major: the area adjacency W of
+    an L-cell table, or an n x n entry-level adjacency (L = 1).  The
+    eigenpairs (V, lam) of ``moran_operator(x, a)`` lift to Psi =
+    V (x) 1_L / sqrt(L) with eigenvalues L lam, and the prior precision
+    Psi' Q Psi of Q = icar_precision(W (x) J_L) is L V' (D_W - W) V, so no
+    n x n matrix is formed for L > 1.
     """
     from .spatial import icar_precision
 
-    psi, eigenvalues, n_positive = select_basis(moran_operator(x, a), fraction=fraction, r=r)
-    k_inv, k = basis_precision(psi, icar_precision(a))
+    v, eigenvalues, n_positive = select_basis(moran_operator(x, a), fraction=fraction, r=r)
+    k_inv, k = basis_precision(v, icar_precision(a))
+    cells = np.shape(x)[0] // np.shape(a)[0]
     return MoranBasis(
-        psi=psi,
-        eigenvalues=eigenvalues,
-        k_inv=k_inv,
-        k=k,
+        psi=np.repeat(v / math.sqrt(cells), cells, axis=0),
+        eigenvalues=cells * eigenvalues,
+        k_inv=cells * k_inv,
+        k=k / cells,
         n_positive=n_positive,
         tolerance=EIGENVALUE_TOLERANCE,
     )
@@ -209,33 +242,46 @@ def cache_path(directory: str | Path, key: str) -> Path:
 
 
 def save_basis(basis: MoranBasis, directory: str | Path, key: str) -> Path:
-    """Persist a basis keyed by the content hash of its inputs."""
+    """Persist a basis keyed by the content hash of its inputs.
+
+    The file is written beside its final name and moved into place, so an
+    interrupted save never leaves a partial entry under that name.
+    """
     path = cache_path(directory, key)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        np.savez(
-            fh,
-            psi=basis.psi,
-            eigenvalues=basis.eigenvalues,
-            k_inv=basis.k_inv,
-            k=basis.k,
-            meta=np.array([float(basis.n_positive), basis.tolerance]),
-        )
+    partial = path.with_name(f"{path.name}.{os.getpid()}.part")
+    try:
+        with open(partial, "wb") as fh:
+            np.savez(
+                fh,
+                psi=basis.psi,
+                eigenvalues=basis.eigenvalues,
+                k_inv=basis.k_inv,
+                k=basis.k,
+                meta=np.array([float(basis.n_positive), basis.tolerance]),
+            )
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
     return path
 
 
 def load_basis(directory: str | Path, key: str) -> MoranBasis | None:
-    """Load a cached basis, or None when the key is absent."""
+    """Load a cached basis, or None when the key is absent or its file unreadable."""
     path = cache_path(directory, key)
     if not path.exists():
         return None
-    with np.load(path) as data:
-        meta = data["meta"]
-        return MoranBasis(
-            psi=data["psi"],
-            eigenvalues=data["eigenvalues"],
-            k_inv=data["k_inv"],
-            k=data["k"],
-            n_positive=int(meta[0]),
-            tolerance=float(meta[1]),
-        )
+    try:
+        with np.load(path) as data:
+            meta = data["meta"]
+            return MoranBasis(
+                psi=data["psi"],
+                eigenvalues=data["eigenvalues"],
+                k_inv=data["k_inv"],
+                k=data["k"],
+                n_positive=int(meta[0]),
+                tolerance=float(meta[1]),
+            )
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+        # a truncated or corrupt entry is a miss: the caller rebuilds and overwrites it
+        return None

@@ -54,7 +54,7 @@ from .mixture import fit_msmm_dp, fit_msmm_truncated
 from .models import MODELS, Model, check_models
 from .msm import fit_msm
 from .simulate import StudyConfig, run_study, write_study_csv, write_study_summary_csv
-from .spatial import build_adjacency, expand_multivariate, read_edge_list
+from .spatial import build_adjacency, read_edge_list
 from .tabulation import (
     gvf_impute,
     load_tabulation,
@@ -201,17 +201,22 @@ def _load_pipeline(config: dict):
     return log_table, x, names, w
 
 
-def _get_basis(config: dict, log_table, x, w):
-    """The basis over the entry-level adjacency W (x) J_L, from the cache if present."""
-    a = expand_multivariate(w, log_table.n_cells)
-    fraction = None if config["basis_r"] is not None else config["basis_fraction"]
+def _get_basis(config: dict, x, w):
+    """The basis over the area adjacency w, from the cache if present.
+
+    The cache key covers the inputs and the resolved size request, so the
+    default fraction and an explicit 0.5 share an entry and another
+    ``basis_r`` does not.
+    """
+    r = config["basis_r"]
+    fraction = None if r is not None else config["basis_fraction"]
     cache_dir = config["basis_cache"]
-    key = basis_cache_key(x, a)
+    key = sha256_bytes(f"{basis_cache_key(x, w)} fraction={fraction!r} r={r!r}".encode())
     if cache_dir:
         cached = load_basis(cache_dir, key)
         if cached is not None:
             return cached, key, True
-    basis = build_basis(x, a, fraction=fraction, r=config["basis_r"])
+    basis = build_basis(x, w, fraction=fraction, r=r)
     if cache_dir:
         save_basis(basis, cache_dir, key)
     return basis, key, False
@@ -266,7 +271,7 @@ def _entry_name(log_table, flat: int) -> str:
 def cmd_fit(config: dict, out_dir: Path) -> list[str]:
     model, cfg = _fit_settings(config)
     log_table, x, _, w = _load_pipeline(config)
-    basis = _get_basis(config, log_table, x, w)[0] if model.needs_basis else None
+    basis = _get_basis(config, x, w)[0] if model.needs_basis else None
 
     z, d = log_table.z, log_table.d
     fits = []
@@ -316,10 +321,10 @@ def cmd_fit(config: dict, out_dir: Path) -> list[str]:
 
 
 def cmd_basis(config: dict, out_dir: Path) -> list[str]:
-    log_table, x, names, w = _load_pipeline(config)
+    _, x, names, w = _load_pipeline(config)
     cache_dir = config["basis_cache"] or str(out_dir)
     config = dict(config, basis_cache=cache_dir)
-    basis, key, from_cache = _get_basis(config, log_table, x, w)
+    basis, key, from_cache = _get_basis(config, x, w)
     cache_file = cache_path(cache_dir, key)
     report = {
         "n": basis.n,
@@ -367,7 +372,7 @@ def cmd_simulate(config: dict, out_dir: Path) -> list[str]:
     log_table, x, _, w = _load_pipeline(config)
     basis = None
     if any(MODELS[name].needs_basis for name in models):
-        basis = _get_basis(config, log_table, x, w)[0]
+        basis = _get_basis(config, x, w)[0]
     result = run_study(log_table, x, basis, replace(study_cfg, **samplers))
     write_study_csv(result, out_dir / "study.csv")
     write_study_summary_csv(result, out_dir / "study_summary.csv")

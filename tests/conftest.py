@@ -31,6 +31,19 @@ def small_inputs(small_study):
     return study, x, a, basis
 
 
+def random_connected_adjacency(m: int, rng: np.random.Generator) -> np.ndarray:
+    # random spanning tree, then a few extra edges so cycles appear
+    a = np.zeros((m, m))
+    for j in range(1, m):
+        i = int(rng.integers(0, j))
+        a[i, j] = a[j, i] = 1.0
+    for _ in range(int(rng.integers(2, m))):
+        i, j = (int(v) for v in rng.integers(0, m, size=2))
+        if i != j:
+            a[i, j] = a[j, i] = 1.0
+    return a
+
+
 def write_csv(path: Path, text: str) -> Path:
     path.write_text(text)
     return path

@@ -46,6 +46,7 @@ from areamix.mixture import MixtureState, crp_assignment_probs
 from areamix.synthetic import grid_graph, two_field_study
 from areamix.tabulation import LogTable, back_transform
 
+from conftest import random_connected_adjacency
 from test_loess import wls_oracle
 from test_msm import joint_gaussian_condition
 
@@ -162,19 +163,6 @@ def test_02_fh_conjugacy():
     )
 
 
-def _random_connected_adjacency(m: int, rng: np.random.Generator) -> np.ndarray:
-    # random spanning tree, then a few extra edges so cycles appear
-    a = np.zeros((m, m))
-    for j in range(1, m):
-        i = int(rng.integers(0, j))
-        a[i, j] = a[j, i] = 1.0
-    for _ in range(int(rng.integers(2, m))):
-        i, j = (int(v) for v in rng.integers(0, m, size=2))
-        if i != j:
-            a[i, j] = a[j, i] = 1.0
-    return a
-
-
 def test_03_basis_correctness():
     rng = np.random.default_rng(303)
     rng_perturb = np.random.default_rng(304)
@@ -184,7 +172,7 @@ def test_03_basis_correctness():
     for _ in range(20):
         m = int(rng.integers(6, 16))
         n_cells = int(rng.integers(1, 4))
-        a = expand_multivariate(_random_connected_adjacency(m, rng), n_cells)
+        a = expand_multivariate(random_connected_adjacency(m, rng), n_cells)
         x = np.ones((a.shape[0], 1))
         q = icar_precision(a)
         basis = build_basis(x, a, fraction=0.5)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from areamix import (
     basis_precision,
     build_adjacency,
     build_basis,
+    build_design,
     expand_multivariate,
     icar_precision,
     moran_operator,
@@ -21,7 +24,9 @@ from areamix.basis import (
     load_basis,
     save_basis,
 )
-from areamix.synthetic import grid_graph
+from areamix.synthetic import grid_graph, two_field_study
+
+from conftest import random_connected_adjacency
 
 
 def projector_oracle(x, a):
@@ -183,6 +188,98 @@ class TestBuildBasis:
         assert basis.r == 2
 
 
+def area_design(m: int, n_cells: int, rng: np.random.Generator) -> np.ndarray:
+    """Intercept, a random area covariate and cell dummies, area-major."""
+    n = m * n_cells
+    cells = np.tile(np.arange(n_cells), m)
+    dummies = [(cells == s).astype(float) for s in range(1, n_cells)]
+    return np.column_stack([np.ones(n), np.repeat(rng.normal(size=m), n_cells), *dummies])
+
+
+class TestAreaLevelBasis:
+    """An m x m area adjacency against its n x n expansion, the oracle.
+
+    Columns are never compared: within a tied eigenspace they are
+    arbitrary.  Fraction 0.5 is checked only where the eigen-gap at its
+    cut is clear; fraction 1 keeps every positive eigenvalue.
+    """
+
+    def test_operator_lifts_to_entry_level(self):
+        rng = np.random.default_rng(71)
+        for n_cells in (1, 2, 3, 4):
+            w = random_connected_adjacency(9, rng)
+            x = area_design(9, n_cells, rng)
+            lifted = np.kron(moran_operator(x, w), np.ones((n_cells, n_cells)))
+            dense = moran_operator(x, expand_multivariate(w, n_cells))
+            assert np.allclose(lifted, dense, rtol=0.0, atol=1e-12)
+
+    def test_matches_dense_path(self):
+        rng = np.random.default_rng(72)
+        checked = {1.0: 0, 0.5: 0}
+        for trial in range(24):
+            n_cells = 1 + trial % 4
+            m = int(rng.integers(6, 20))
+            w = random_connected_adjacency(m, rng)
+            x = area_design(m, n_cells, rng)
+            a = expand_multivariate(w, n_cells)
+            spectrum = build_basis(x, a, fraction=1.0).eigenvalues
+            cut = len(spectrum) // 2
+            clear = cut >= 1 and spectrum[cut - 1] - spectrum[cut] > 1e-6 * spectrum[0]
+            for fraction in (1.0, 0.5) if clear else (1.0,):
+                area = build_basis(x, w, fraction=fraction)
+                dense = build_basis(x, a, fraction=fraction)
+                assert (area.n_positive, area.r) == (dense.n_positive, dense.r)
+                assert area.psi.shape == dense.psi.shape
+                assert np.allclose(area.eigenvalues, dense.eigenvalues, rtol=1e-12, atol=0.0)
+                assert np.allclose(
+                    area.psi @ area.psi.T, dense.psi @ dense.psi.T, rtol=0.0, atol=1e-8
+                )
+                smooth = dense.psi @ dense.k @ dense.psi.T
+                assert np.allclose(
+                    area.psi @ area.k @ area.psi.T,
+                    smooth,
+                    rtol=0.0,
+                    atol=1e-8 * np.max(np.abs(smooth)),
+                )
+                checked[fraction] += 1
+        assert checked[1.0] == 24 and checked[0.5] >= 12
+
+    def test_entry_varying_covariate_needs_entry_adjacency(self):
+        rng = np.random.default_rng(73)
+        for n_cells in (2, 3, 4):
+            w = random_connected_adjacency(8, rng)
+            x = np.column_stack([area_design(8, n_cells, rng), rng.normal(size=8 * n_cells)])
+            with pytest.raises(DomainError, match="entry-level adjacency"):
+                build_basis(x, w)
+            dense = build_basis(x, expand_multivariate(w, n_cells))
+            assert np.max(np.abs(dense.psi.T @ x)) < 1e-8
+
+    def test_rows_must_be_a_multiple_of_areas(self):
+        rng = np.random.default_rng(74)
+        w = random_connected_adjacency(6, rng)
+        for n in (3, 13, 20):
+            x = np.column_stack([np.ones(n), rng.normal(size=n)])
+            with pytest.raises(ShapeError, match="multiple"):
+                build_basis(x, w)
+        with pytest.raises(ShapeError):
+            moran_operator(np.ones((12, 1)), np.zeros((6, 4)))
+
+    def test_national_layout_forms_no_entry_matrix(self):
+        # side 30, ten cells: one n x n float64 array would be 648 MB
+        study = two_field_study(30, 30, 10, seed=0)
+        x, _ = build_design(study.truth, study.population)
+        w = build_adjacency(study.areas, study.edges)
+        n = x.shape[0]
+        tracemalloc.start()
+        try:
+            basis = build_basis(x, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert basis.psi.shape == (n, basis.r)
+        assert peak < n * n * 8 / 10
+
+
 class TestFrobeniusTarget:
     def test_k_inv_minimises_distance(self, small_inputs):
         # || Psi' Q Psi - K ||_F over K is exactly minimised at K = k_inv
@@ -223,6 +320,17 @@ class TestCache:
         x2[0, 0] += 1.0
         assert basis_cache_key(x2, a) != key
         assert basis_cache_key(x, a) == key
+
+    def test_unreadable_entry_is_a_miss(self, small_inputs, tmp_path):
+        _, x, a, basis = small_inputs
+        key = basis_cache_key(x, a)
+        path = save_basis(basis, tmp_path, key)
+        whole = path.read_bytes()
+        for damaged in (whole[:300], whole[: len(whole) - 300], b"not an archive"):
+            path.write_bytes(damaged)
+            assert load_basis(tmp_path, key) is None
+        assert save_basis(basis, tmp_path, key).read_bytes() == whole
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_save_is_deterministic(self, small_inputs, tmp_path):
         _, x, a, basis = small_inputs

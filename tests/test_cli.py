@@ -200,6 +200,43 @@ class TestBasisCommand:
         assert len(cached) == 1
 
 
+class TestBasisCache:
+    def basis_report(self, fixture10, directory, cache, **request) -> dict:
+        directory.mkdir()
+        cfg = fit_config(fixture10, directory, basis_cache=str(cache), **request)
+        assert main(["basis", str(cfg), "--out", str(directory / "out")]) == 0
+        return json.loads((directory / "out" / "basis_report.json").read_text())
+
+    def test_key_tracks_size_request(self, fixture10, tmp_path):
+        cache = tmp_path / "cache"
+        one = self.basis_report(fixture10, tmp_path / "one", cache, basis_r=1)
+        two = self.basis_report(fixture10, tmp_path / "two", cache, basis_r=2)
+        assert (one["r"], one["from_cache"]) == (1, False)
+        assert (two["r"], two["from_cache"]) == (2, False)
+        again = self.basis_report(fixture10, tmp_path / "again", cache, basis_r=1)
+        assert (again["from_cache"], again["cache_file"]) == (True, one["cache_file"])
+        # the default fraction and an explicit 0.5 are one request
+        default = self.basis_report(fixture10, tmp_path / "default", cache)
+        half = self.basis_report(fixture10, tmp_path / "half", cache, basis_fraction=0.5)
+        assert default["from_cache"] is False
+        assert (half["from_cache"], half["cache_file"]) == (True, default["cache_file"])
+
+    def test_truncated_entry_is_rebuilt(self, fixture10, tmp_path):
+        cache = tmp_path / "cache"
+        cfg = fit_config(
+            fixture10, tmp_path, model="msm", basis_cache=str(cache), iterations=60, burn_in=20
+        )
+        assert main(["fit", str(cfg), "--out", str(tmp_path / "cold")]) == 0
+        (entry,) = cache.iterdir()
+        whole = entry.read_bytes()
+        entry.write_bytes(whole[:300])
+        assert main(["fit", str(cfg), "--out", str(tmp_path / "rebuilt")]) == 0
+        cold = (tmp_path / "cold" / "predictions.csv").read_bytes()
+        assert (tmp_path / "rebuilt" / "predictions.csv").read_bytes() == cold
+        assert list(cache.iterdir()) == [entry]
+        assert entry.read_bytes() == whole
+
+
 class TestSimulateCommand:
     def test_study_files(self, fixture10, tmp_path):
         cfg = fit_config(
@@ -339,7 +376,8 @@ class TestSettingsBeforeInput:
 
     def test_simulate_unknown_model_reads_no_input(self, fixture10, tmp_path, monkeypatch, capsys):
         calls: list = []
-        for name in ("load_tabulation", "expand_multivariate", "build_basis"):
+        spy(monkeypatch, calls, spatial, "expand_multivariate")
+        for name in ("load_tabulation", "build_basis"):
             spy(monkeypatch, calls, cli, name)
         cfg = fit_config(fixture10, tmp_path, models="msm,nope", replicates=1)
         assert main(["simulate", str(cfg), "--out", str(tmp_path / "x")]) == 2
@@ -363,8 +401,10 @@ class TestSettingsBeforeInput:
 class TestDenseMatricesOnDemand:
     @pytest.fixture
     def dense_calls(self, monkeypatch) -> list:
+        # cli binds no expansion of its own, so the spy sees every call
+        assert not hasattr(cli, "expand_multivariate")
         calls: list = []
-        spy(monkeypatch, calls, cli, "expand_multivariate")
+        spy(monkeypatch, calls, spatial, "expand_multivariate")
         spy(monkeypatch, calls, spatial, "icar_precision")  # what build_basis looks up
         return calls
 
@@ -391,9 +431,9 @@ class TestDenseMatricesOnDemand:
             write_draws="false",
         )
         assert main(["fit", str(cfg), "--out", str(tmp_path / "miss")]) == 0
-        assert dense_calls.count("icar_precision") == 1
+        assert dense_calls == ["icar_precision"]  # of the 10 x 10 area adjacency
         dense_calls.clear()
         assert main(["fit", str(cfg), "--out", str(tmp_path / "hit")]) == 0
-        assert dense_calls == ["expand_multivariate"]
+        assert dense_calls == []
         hit = (tmp_path / "hit" / "predictions.csv").read_bytes()
         assert hit == (tmp_path / "miss" / "predictions.csv").read_bytes()
