@@ -27,6 +27,7 @@ from .errors import (
     RankError,
     ShapeError,
 )
+from .spatial import _check_adjacency, icar_precision
 from .util import sha256_bytes
 
 EIGENVALUE_TOLERANCE = 1e-10
@@ -72,20 +73,18 @@ def moran_operator(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     area adjacency W gives the operator whose eigenpairs (v, lam) are
     (v (x) 1_L / sqrt(L), L lam) for (I - P_X)(W (x) J_L)(I - P_X).
     That needs col(X) to split into area-level and within-area parts
-    (S'S a projector); otherwise this raises DomainError.
+    (S'S a projector); otherwise this raises DomainError.  A is checked
+    as every adjacency is (``spatial._check_adjacency``), before any
+    eigensolve.
     """
     x = np.asarray(x, dtype=float)
-    a = np.asarray(a, dtype=float)
     if x.ndim != 2:
         raise ShapeError("design matrix must be 2-D")
     n, p = x.shape
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"adjacency must be square, got {a.shape}")
+    a = _check_adjacency(a)
     m = a.shape[0]
     if m == 0 or n == 0 or n % m:
         raise ShapeError(f"design has {n} rows, not a positive multiple of the adjacency's {m}")
-    if not np.allclose(a, a.T):
-        raise DomainError("adjacency must be symmetric")
     if np.linalg.matrix_rank(x) < p:
         raise RankError("design matrix is rank deficient")
     q_x, _ = np.linalg.qr(x)
@@ -210,8 +209,6 @@ def build_basis(
     Psi' Q Psi of Q = icar_precision(W (x) J_L) is L V' (D_W - W) V, so no
     n x n matrix is formed for L > 1.
     """
-    from .spatial import icar_precision
-
     v, eigenvalues, n_positive = select_basis(moran_operator(x, a), fraction=fraction, r=r)
     k_inv, k = basis_precision(v, icar_precision(a))
     cells = np.shape(x)[0] // np.shape(a)[0]

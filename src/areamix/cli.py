@@ -34,21 +34,7 @@ from . import __version__
 from .basis import basis_cache_key, build_basis, cache_path, load_basis, save_basis
 from .design import build_design, read_population_csv
 from .diagnostics import diagnostics_report
-from .errors import (
-    AreamixError,
-    ConfigError,
-    DefinitenessError,
-    DegenerateChainError,
-    DivergenceError,
-    DomainError,
-    DuplicateKeyError,
-    EmptyBasisError,
-    InsufficientDataError,
-    RankError,
-    SchemaError,
-    ShapeError,
-    UnknownAreaError,
-)
+from .errors import AreamixError, ConfigError, DomainError, SchemaError
 from .fh import fit_fh
 from .mixture import fit_msmm_dp, fit_msmm_truncated
 from .models import MODELS, Model, check_models
@@ -262,12 +248,6 @@ def _tracked_entries(config: dict, log_table) -> list[int]:
     return sorted(int(i) for i in picks)
 
 
-def _entry_name(log_table, flat: int) -> str:
-    keys = log_table.keys()
-    area, cell = keys[flat]
-    return f"y_{area}_{cell}"
-
-
 def cmd_fit(config: dict, out_dir: Path) -> list[str]:
     model, cfg = _fit_settings(config)
     log_table, x, _, w = _load_pipeline(config)
@@ -284,14 +264,13 @@ def cmd_fit(config: dict, out_dir: Path) -> list[str]:
     write_prediction_csv(out_dir / "predictions.csv", log_table, summary)
     outputs = ["predictions.csv"]
 
-    entries = _tracked_entries(config, log_table)
-    param_chains: dict[str, list[np.ndarray]] = {}
-    for fit in fits:
-        for name, series in model.scalar_series(fit).items():
-            param_chains.setdefault(name, []).append(series)
-        for flat in entries:
-            param_chains.setdefault(_entry_name(log_table, flat), []).append(fit.y[:, flat])
-    report = diagnostics_report(param_chains)
+    keys = log_table.keys()
+    entries = [(f"y_{keys[i][0]}_{keys[i][1]}", i) for i in _tracked_entries(config, log_table)]
+    # per chain: the model's scalar series, then the tracked entries
+    chain_series = [
+        model.scalar_series(fit) | {name: fit.y[:, i] for name, i in entries} for fit in fits
+    ]
+    report = diagnostics_report({name: [s[name] for s in chain_series] for name in chain_series[0]})
     with open(out_dir / "diagnostics.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -301,10 +280,7 @@ def cmd_fit(config: dict, out_dir: Path) -> list[str]:
         with open(out_dir / "draws.csv", "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["chain", "iteration", "parameter", "value"])
-            for chain, fit in enumerate(fits):
-                series = model.scalar_series(fit)
-                for flat in entries:
-                    series[_entry_name(log_table, flat)] = fit.y[:, flat]
+            for chain, series in enumerate(chain_series):
                 for name in sorted(series):
                     for iteration, value in zip(cfg.retained(), series[name]):
                         writer.writerow([chain, iteration, name, format_value(float(value))])
@@ -430,17 +406,6 @@ COMMANDS = {
     "diagnose": cmd_diagnose,
 }
 
-_DATA_ERRORS = (
-    SchemaError,
-    DuplicateKeyError,
-    DomainError,
-    ShapeError,
-    UnknownAreaError,
-    InsufficientDataError,
-    DegenerateChainError,
-)
-_NUMERICAL_ERRORS = (RankError, EmptyBasisError, DefinitenessError, DivergenceError)
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -476,21 +441,12 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(config["out"])
         out_dir.mkdir(parents=True, exist_ok=True)
         outputs = COMMANDS[args.command](config, out_dir)
-    except ConfigError as exc:
-        print(f"areamix: config error: {exc}", file=sys.stderr)
-        return 2
+    except AreamixError as exc:
+        print(f"areamix: {exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except FileNotFoundError as exc:
         print(f"areamix: config error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
-        print(f"areamix: numerical error: {exc}", file=sys.stderr)
-        return 4
-    except _DATA_ERRORS as exc:
-        print(f"areamix: data error: {exc}", file=sys.stderr)
-        return 3
-    except AreamixError as exc:
-        print(f"areamix: error: {exc}", file=sys.stderr)
-        return 1
     for name in outputs:
         print(f"wrote {Path(config['out']) / name}")
     return 0

@@ -6,6 +6,10 @@ Each observation i carries theta_i = (beta_i, eta_i) in R^{p+r} with
     theta_i | G ~ G,   G ~ DP(alpha G0),
     G0 = N(0, Sigma0),  Sigma0 = blockdiag(sigma2_beta I_p, sigma2_eta K).
 
+G0 is the msm prior of (beta, eta) (``msm.BaseMeasure``), and a
+cluster's atom posterior is msm's coefficient posterior over the
+cluster's rows (``msm._ClusterStats``): msm is the one-cluster case.
+
 Ties among the theta_i induce clusters of observations that share one
 regression surface and one spatial field.  Both samplers run one blocked
 sweep over the stick-breaking form G = sum_m pi_m delta(theta_m):
@@ -34,74 +38,19 @@ import numpy as np
 from .basis import MoranBasis
 from .errors import DivergenceError, DomainError, ShapeError
 from .msm import (
+    BaseMeasure,
     ChainConfig,
     DrawRecorder,
     _check_data,
+    _ClusterStats,
     _cov_from_chol,
     _inverse_gamma_conditional,
     _posterior_draw,
-    _posterior_factor,
     draw_inverse_gamma,
 )
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _STICK_EPS = 1e-12  # keep drawn sticks strictly inside (0, 1)
-
-
-@dataclass(frozen=True)
-class BaseMeasure:
-    """The Gaussian base distribution N(0, Sigma0) of the process.
-
-    Sigma0 = blockdiag(sigma2_beta I_p, sigma2_eta K); ``k`` is the SPD
-    spatial covariance kernel K and ``k_inv`` its inverse.
-    """
-
-    p: int
-    sigma2_beta: float
-    sigma2_eta: float
-    k: np.ndarray
-    k_inv: np.ndarray
-
-    @property
-    def r(self) -> int:
-        return self.k.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.p + self.r
-
-    @classmethod
-    def from_basis(
-        cls, basis: MoranBasis, p: int, sigma2_beta: float, sigma2_eta: float
-    ) -> "BaseMeasure":
-        return cls(
-            p=p,
-            sigma2_beta=float(sigma2_beta),
-            sigma2_eta=float(sigma2_eta),
-            k=basis.k,
-            k_inv=basis.k_inv,
-        )
-
-    def prior_precision(self) -> np.ndarray:
-        q = self.dim
-        prec = np.zeros((q, q))
-        prec[: self.p, : self.p] = np.eye(self.p) / self.sigma2_beta
-        prec[self.p :, self.p :] = self.k_inv / self.sigma2_eta
-        return prec
-
-    def prior_covariance(self) -> np.ndarray:
-        q = self.dim
-        cov = np.zeros((q, q))
-        cov[: self.p, : self.p] = np.eye(self.p) * self.sigma2_beta
-        cov[self.p :, self.p :] = self.k * self.sigma2_eta
-        return cov
-
-    def draw(self, rng: np.random.Generator, chol_k: np.ndarray | None = None) -> np.ndarray:
-        if chol_k is None:
-            chol_k = np.linalg.cholesky(self.k)
-        head = math.sqrt(self.sigma2_beta) * rng.standard_normal(self.p)
-        tail = math.sqrt(self.sigma2_eta) * (chol_k @ rng.standard_normal(self.r))
-        return np.concatenate([head, tail])
 
 
 @dataclass
@@ -114,25 +63,6 @@ class MixtureState:
 
     assignments: np.ndarray
     alpha: float = 1.0
-
-
-class _ClusterStats:
-    """A cluster's count, F = sum u_i u_i'/d_i and g = sum u_i z_i/d_i over its
-    member rows; ``posterior`` forms its atom posterior.
-    """
-
-    __slots__ = ("count", "f", "g")
-
-    def __init__(self, members, z: np.ndarray, d: np.ndarray, u: np.ndarray):
-        rows = u[members]
-        weights = d[members]
-        self.count = rows.shape[0]
-        self.f = (rows / weights[:, None]).T @ rows
-        self.g = rows.T @ (z[members] / weights)
-
-    def posterior(self, prec0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The atom posterior (chol of prec0 + F, mean) under prior precision prec0."""
-        return _posterior_factor(prec0 + self.f, self.g)
 
 
 def _check_rows(z, d, u, base: BaseMeasure):

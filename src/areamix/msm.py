@@ -7,8 +7,12 @@ Priors
     eta | sigma2_eta ~ N(0, sigma2_eta K),  K^{-1} = Psi' Q Psi
     sigma2_eta ~ InverseGamma(a_eta, b_eta)   [shape/scale]
 
-All three full conditionals are available in closed form, so the sampler
-is a plain three-block Gibbs scan: beta, then eta, then sigma2_eta.
+Given sigma2_eta, theta = (beta, eta) has the Gaussian prior
+``BaseMeasure`` and, with U = [X, Psi], the Gaussian posterior that
+``_ClusterStats`` forms from U' D^{-1} U and U' D^{-1} z.  So a sweep is
+two exact steps: theta jointly, then sigma2_eta.  The mixture model
+(``mixture``) draws each cluster's atom from the same two pieces; this
+model is its one-cluster case.
 """
 
 from __future__ import annotations
@@ -154,10 +158,88 @@ def _cov_from_chol(chol: np.ndarray) -> np.ndarray:
     return (cov + cov.T) / 2.0
 
 
+@dataclass(frozen=True)
+class BaseMeasure:
+    """The prior N(0, Sigma0) of theta = (beta, eta) given sigma2_eta, and
+    the mixture's base measure G0.
+
+    Sigma0 = blockdiag(sigma2_beta I_p, sigma2_eta K); ``k`` is the SPD
+    spatial covariance kernel K and ``k_inv`` its inverse.
+    """
+
+    p: int
+    sigma2_beta: float
+    sigma2_eta: float
+    k: np.ndarray
+    k_inv: np.ndarray
+
+    @property
+    def r(self) -> int:
+        return self.k.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.p + self.r
+
+    @classmethod
+    def from_basis(
+        cls, basis: MoranBasis, p: int, sigma2_beta: float, sigma2_eta: float
+    ) -> "BaseMeasure":
+        return cls(
+            p=p,
+            sigma2_beta=float(sigma2_beta),
+            sigma2_eta=float(sigma2_eta),
+            k=basis.k,
+            k_inv=basis.k_inv,
+        )
+
+    def prior_precision(self) -> np.ndarray:
+        q = self.dim
+        prec = np.zeros((q, q))
+        prec[: self.p, : self.p] = np.eye(self.p) / self.sigma2_beta
+        prec[self.p :, self.p :] = self.k_inv / self.sigma2_eta
+        return prec
+
+    def prior_covariance(self) -> np.ndarray:
+        q = self.dim
+        cov = np.zeros((q, q))
+        cov[: self.p, : self.p] = np.eye(self.p) * self.sigma2_beta
+        cov[self.p :, self.p :] = self.k * self.sigma2_eta
+        return cov
+
+    def draw(self, rng: np.random.Generator, chol_k: np.ndarray | None = None) -> np.ndarray:
+        if chol_k is None:
+            chol_k = np.linalg.cholesky(self.k)
+        head = math.sqrt(self.sigma2_beta) * rng.standard_normal(self.p)
+        tail = math.sqrt(self.sigma2_eta) * (chol_k @ rng.standard_normal(self.r))
+        return np.concatenate([head, tail])
+
+
+class _ClusterStats:
+    """A cluster's count, F = sum u_i u_i'/d_i and g = sum u_i z_i/d_i over its
+    member rows (``slice(None)``: every row, uncopied); ``posterior`` forms
+    the posterior of the theta those rows share.
+    """
+
+    __slots__ = ("count", "f", "g")
+
+    def __init__(self, members, z: np.ndarray, d: np.ndarray, u: np.ndarray):
+        rows = u[members]
+        weights = d[members]
+        self.count = rows.shape[0]
+        self.f = (rows / weights[:, None]).T @ rows
+        self.g = rows.T @ (z[members] / weights)
+
+    def posterior(self, prec0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The atom posterior (chol of prec0 + F, mean) under prior precision prec0."""
+        return _posterior_factor(prec0 + self.f, self.g)
+
+
 def conditional_beta(z, d, x, psi, eta, sigma2_beta: float):
     """Full conditional of beta: N(mean, cov) with
     cov = (X' D^{-1} X + I/sigma2_beta)^{-1},
     mean = cov X' D^{-1} (z - Psi eta).
+    No sampler runs it: ``fit_msm`` draws (beta, eta) jointly.
     """
     z, d, x, psi = _check_data(z, d, x, psi)
     eta = np.asarray(eta, dtype=float).ravel()
@@ -175,6 +257,7 @@ def conditional_eta(z, d, x, psi, beta, k_inv, sigma2_eta: float):
     """Full conditional of eta: N(mean, cov) with
     cov = (Psi' D^{-1} Psi + K^{-1}/sigma2_eta)^{-1},
     mean = cov Psi' D^{-1} (z - X beta).
+    No sampler runs it: ``fit_msm`` draws (beta, eta) jointly.
     """
     z, d, x, psi = _check_data(z, d, x, psi)
     beta = np.asarray(beta, dtype=float).ravel()
@@ -220,57 +303,48 @@ def draw_inverse_gamma(rng: np.random.Generator, shape: float, scale: float) -> 
 def fit_msm(z, d, x, basis: MoranBasis, config: MsmConfig | None = None) -> PosteriorDraws:
     """Gibbs-sample the spatial mixed-effects model.
 
-    The scan order is beta, eta, sigma2_eta, initialised at beta = 0,
-    eta = 0, sigma2_eta = 1.  Retained iterations are those at or past
-    burn_in, stepping by thin; the latent field y = X beta + Psi eta is
-    stored per retained draw.
+    Each sweep draws theta = (beta, eta) from its joint conditional given
+    sigma2_eta, then sigma2_eta given eta, starting from sigma2_eta = 1.
+    The data enter through one ``_ClusterStats`` over every row, formed
+    once.  Retained iterations are those at or past burn_in, stepping by
+    thin; the latent field y = X beta + Psi eta is stored per retained
+    draw.
 
     Raises DivergenceError (with the iteration index) if any draw goes
     non-finite.
     """
     config = config or MsmConfig()
     config.validate()
-    psi = basis.psi
-    k_inv = basis.k_inv
-    z, d, x, psi = _check_data(z, d, x, psi)
-    n, p = x.shape
+    z, d, x, psi = _check_data(z, d, x, basis.psi)
+    p = x.shape[1]
     r = psi.shape[1]
-    if k_inv.shape != (r, r):
+    if basis.k_inv.shape != (r, r):
         raise ShapeError("basis precision must be (r, r)")
 
     rng = np.random.default_rng(config.seed)
-    xt_dinv = x.T / d
-    prec_beta = xt_dinv @ x + np.eye(p) / config.sigma2_beta
-    chol_beta = np.linalg.cholesky(prec_beta)
-    psit_dinv = psi.T / d
-    prec_eta_data = psit_dinv @ psi
-
+    u = np.hstack([x, psi])
+    stats = _ClusterStats(slice(None), z, d, u)
     fixed = config.sigma2_eta_fixed
-    beta = np.zeros(p)
-    eta = np.zeros(r)
     sigma2_eta = 1.0 if fixed is None else float(fixed)
 
     draws = DrawRecorder(config)
     for t in range(config.iterations):
-        mean_beta = _posterior_mean(chol_beta, xt_dinv @ (z - psi @ eta))
-        beta = _posterior_draw(rng, chol_beta, mean_beta)
-
-        prec_eta = prec_eta_data + k_inv / sigma2_eta
-        chol_eta, mean_eta = _posterior_factor(prec_eta, psit_dinv @ (z - x @ beta))
-        eta = _posterior_draw(rng, chol_eta, mean_eta)
+        base = BaseMeasure.from_basis(basis, p, config.sigma2_beta, sigma2_eta)
+        theta = _posterior_draw(rng, *stats.posterior(base.prior_precision()))
+        eta = theta[p:]
 
         if fixed is None:
-            quad = float(eta @ k_inv @ eta)
+            quad = float(eta @ base.k_inv @ eta)
             shape, scale = _inverse_gamma_conditional(config.a_eta, config.b_eta, r, quad, t)
             sigma2_eta = draw_inverse_gamma(rng, shape, scale)
 
-        if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(eta)) and np.isfinite(sigma2_eta)):
+        if not (np.all(np.isfinite(theta)) and np.isfinite(sigma2_eta)):
             raise DivergenceError("non-finite draw", iteration=t)
 
         if draws.wants(t):
-            y = x @ beta + psi @ eta
+            y = u @ theta
             if not np.all(np.isfinite(y)):
                 raise DivergenceError("non-finite latent field", iteration=t)
-            draws.record(beta=beta, eta=eta, sigma2_eta=sigma2_eta, y=y)
+            draws.record(beta=theta[:p], eta=eta, sigma2_eta=sigma2_eta, y=y)
 
     return PosteriorDraws(**draws.columns, seed=config.seed)

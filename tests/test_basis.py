@@ -18,6 +18,7 @@ from areamix import (
     moran_operator,
     select_basis,
 )
+from areamix import basis as basis_module
 from areamix.basis import (
     basis_cache_key,
     cache_path,
@@ -70,6 +71,25 @@ class TestMoranOperator:
         bad = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         with pytest.raises(DomainError):
             moran_operator(x, bad)
+
+    @pytest.mark.parametrize(
+        "entry, value, message",
+        [((1, 1), 1.0, "zero diagonal"), ((0, 2), -1.0, "nonnegative")],
+    )
+    def test_rejects_what_the_precision_would(self, monkeypatch, entry, value, message):
+        # build_basis rejects the adjacency before it reaches the eigensolve
+        bad = random_connected_adjacency(9, np.random.default_rng(5))
+        bad[entry] = bad[entry[::-1]] = value
+        x = np.ones((18, 1))
+        with pytest.raises(DomainError, match=message):
+            moran_operator(x, bad)
+
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("the eigensolve ran on a bad adjacency")
+
+        monkeypatch.setattr(basis_module, "select_basis", no_eigensolve)
+        with pytest.raises(DomainError, match=message):
+            build_basis(x, bad)
 
 
 class TestSelectBasis:

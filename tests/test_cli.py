@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from areamix import ConfigError, cli, spatial
+from areamix import ConfigError, basis, cli, errors, spatial
 from areamix.cli import main, read_config
 
 from conftest import write_csv
@@ -317,6 +317,42 @@ class TestErrorExits:
         assert "line 2" in capsys.readouterr().err
 
 
+# every error class's exit code and stderr label, as the command line reports them
+EXIT_CATEGORIES = {
+    "AreamixError": (1, "error"),
+    "ConfigError": (2, "config error"),
+    "SchemaError": (3, "data error"),
+    "DuplicateKeyError": (3, "data error"),
+    "DomainError": (3, "data error"),
+    "ShapeError": (3, "data error"),
+    "UnknownAreaError": (3, "data error"),
+    "InsufficientDataError": (3, "data error"),
+    "DegenerateChainError": (3, "data error"),
+    "RankError": (4, "numerical error"),
+    "EmptyBasisError": (4, "numerical error"),
+    "DefinitenessError": (4, "numerical error"),
+    "DivergenceError": (4, "numerical error"),
+}
+
+
+def test_exit_categories_cover_every_error():
+    classes = [errors.AreamixError, *errors.AreamixError.__subclasses__()]
+    assert sorted(cls.__name__ for cls in classes) == sorted(EXIT_CATEGORIES)
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CATEGORIES))
+def test_error_exit_category(fixture10, tmp_path, monkeypatch, capsys, name):
+    error = getattr(errors, name)
+
+    def failing_command(config, out_dir):
+        raise error("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "fit", failing_command)
+    code, label = EXIT_CATEGORIES[name]
+    assert main(["fit", str(fit_config(fixture10, tmp_path)), "--out", str(tmp_path / "x")]) == code
+    assert capsys.readouterr().err == f"areamix: {label}: boom\n"
+
+
 class TestManifest:
     def test_hashes_inputs(self, fixture10, tmp_path):
         cfg = fit_config(fixture10, tmp_path, model="fh", write_draws="false")
@@ -405,7 +441,7 @@ class TestDenseMatricesOnDemand:
         assert not hasattr(cli, "expand_multivariate")
         calls: list = []
         spy(monkeypatch, calls, spatial, "expand_multivariate")
-        spy(monkeypatch, calls, spatial, "icar_precision")  # what build_basis looks up
+        spy(monkeypatch, calls, basis, "icar_precision")  # what build_basis looks up
         return calls
 
     def test_fh_fit_builds_no_entry_level_matrix(self, fixture10, tmp_path, dense_calls):

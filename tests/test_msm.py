@@ -3,15 +3,18 @@ import pytest
 from scipy import stats
 
 from areamix import (
+    BaseMeasure,
     DivergenceError,
     DomainError,
     MsmConfig,
     ShapeError,
+    cluster_posterior,
     conditional_beta,
     conditional_eta,
     conditional_sigma2_eta,
     draw_inverse_gamma,
     fit_msm,
+    msm,
 )
 
 
@@ -206,5 +209,41 @@ class TestFitMsm:
         prior[:p, :p] = 10.0 * np.eye(p)
         prior[p:, p:] = sigma2_eta * basis.k
         want_mean, _ = joint_gaussian_condition(prior, design, study.truth.d, study.truth.z)
+        got_mean = np.concatenate([fit.beta.mean(axis=0), fit.eta.mean(axis=0)])
+        assert np.allclose(got_mean, want_mean, atol=0.08)
+
+
+class TestSharedAtomKernel:
+    """msm is the one-cluster case of the mixture: it draws its coefficients
+    through the atom posterior that the mixture samplers and
+    ``cluster_posterior`` use."""
+
+    def test_one_posterior_per_sweep_over_every_row(self, small_inputs, monkeypatch):
+        study, x, _, basis = small_inputs
+        calls: list = []
+        real = msm._ClusterStats.posterior
+
+        def spy(stats, prec0):
+            calls.append(stats.count)
+            return real(stats, prec0)
+
+        monkeypatch.setattr(msm._ClusterStats, "posterior", spy)
+        fit_msm(study.truth.z, study.truth.d, x, basis, MsmConfig(iterations=7, burn_in=2))
+        assert calls == [study.truth.n_rows] * 7
+
+    def test_fixed_variance_matches_cluster_posterior(self, small_inputs):
+        # the inputs and tolerance of TestFitMsm.test_posterior_tracks_closed_form
+        study, x, _, basis = small_inputs
+        sigma2_eta = 0.5
+        cfg = MsmConfig(
+            iterations=4000, burn_in=500, seed=8, sigma2_eta_fixed=sigma2_eta,
+            sigma2_beta=10.0,
+        )
+        z, d = study.truth.z, study.truth.d
+        fit = fit_msm(z, d, x, basis, cfg)
+        p = x.shape[1]
+        base = BaseMeasure.from_basis(basis, p, 10.0, sigma2_eta)
+        u = np.hstack([x, basis.psi])
+        want_mean, _ = cluster_posterior(np.arange(z.size), z, d, u, base)
         got_mean = np.concatenate([fit.beta.mean(axis=0), fit.eta.mean(axis=0)])
         assert np.allclose(got_mean, want_mean, atol=0.08)
