@@ -46,6 +46,8 @@ class MoranBasis:
     k : its inverse, the prior covariance up to the scale parameter
     n_positive : how many positive eigenvalues the operator had in total
     tolerance : relative threshold used to call an eigenvalue positive
+    cells : entries per area L; psi repeats each of its n / L area rows
+        L times (1 for an entry-level basis)
     """
 
     psi: np.ndarray
@@ -54,6 +56,7 @@ class MoranBasis:
     k: np.ndarray
     n_positive: int
     tolerance: float
+    cells: int = 1
 
     @property
     def n(self) -> int:
@@ -219,6 +222,7 @@ def build_basis(
         k=k / cells,
         n_positive=n_positive,
         tolerance=EIGENVALUE_TOLERANCE,
+        cells=cells,
     )
 
 
@@ -241,7 +245,8 @@ def cache_path(directory: str | Path, key: str) -> Path:
 def save_basis(basis: MoranBasis, directory: str | Path, key: str) -> Path:
     """Persist a basis keyed by the content hash of its inputs.
 
-    The file is written beside its final name and moved into place, so an
+    The file keeps psi's n / L area rows and L, not the (n, r) psi.  It is
+    written beside its final name and moved into place, so an
     interrupted save never leaves a partial entry under that name.
     """
     path = cache_path(directory, key)
@@ -251,7 +256,8 @@ def save_basis(basis: MoranBasis, directory: str | Path, key: str) -> Path:
         with open(partial, "wb") as fh:
             np.savez(
                 fh,
-                psi=basis.psi,
+                area_psi=basis.psi[:: basis.cells],
+                cells=np.array(basis.cells),
                 eigenvalues=basis.eigenvalues,
                 k_inv=basis.k_inv,
                 k=basis.k,
@@ -264,20 +270,23 @@ def save_basis(basis: MoranBasis, directory: str | Path, key: str) -> Path:
 
 
 def load_basis(directory: str | Path, key: str) -> MoranBasis | None:
-    """Load a cached basis, or None when the key is absent or its file unreadable."""
+    """Load a cached basis, or None when the key is absent or its file
+    unreadable or in an older format (one without ``area_psi``)."""
     path = cache_path(directory, key)
     if not path.exists():
         return None
     try:
         with np.load(path) as data:
             meta = data["meta"]
+            cells = int(data["cells"])
             return MoranBasis(
-                psi=data["psi"],
+                psi=np.repeat(data["area_psi"], cells, axis=0),
                 eigenvalues=data["eigenvalues"],
                 k_inv=data["k_inv"],
                 k=data["k"],
                 n_positive=int(meta[0]),
                 tolerance=float(meta[1]),
+                cells=cells,
             )
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
         # a truncated or corrupt entry is a miss: the caller rebuilds and overwrites it

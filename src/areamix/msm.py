@@ -8,11 +8,15 @@ Priors
     sigma2_eta ~ InverseGamma(a_eta, b_eta)   [shape/scale]
 
 Given sigma2_eta, theta = (beta, eta) has the Gaussian prior
-``BaseMeasure`` and, with U = [X, Psi], the Gaussian posterior that
-``_ClusterStats`` forms from U' D^{-1} U and U' D^{-1} z.  So a sweep is
-two exact steps: theta jointly, then sigma2_eta.  The mixture model
-(``mixture``) draws each cluster's atom from the same two pieces; this
-model is its one-cluster case.
+``BaseMeasure`` and, with U = [X, Psi], the Gaussian posterior of
+precision P = U' D^{-1} U + Sigma0^{-1}.  Only sigma2_eta moves P between
+sweeps, and it moves P along B = blockdiag(0, K^{-1}) alone, so
+``fit_msm`` diagonalises P against B once per fit (``_diagonalise``) and
+then draws theta in O(p + r) a sweep, then sigma2_eta.  The mixture
+model (``mixture``) draws each cluster's atom from the same prior with
+``_ClusterStats``, which forms the posterior by a Cholesky factor; this
+model is its one-cluster case, and ``_ClusterStats`` is the oracle its
+decomposition is tested against.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .basis import MoranBasis
-from .errors import DivergenceError, DomainError, ShapeError
+from .errors import DefinitenessError, DivergenceError, DomainError, ShapeError
 
 
 @dataclass
@@ -300,18 +304,74 @@ def draw_inverse_gamma(rng: np.random.Generator, shape: float, scale: float) -> 
     return float(1.0 / rng.gamma(shape, 1.0 / scale))
 
 
+# rows of [X, Psi] whitened at a time while U' D^{-1} U is summed
+_GRAM_ROWS = 4096
+
+
+def _data_precision(z, d, x, psi) -> tuple[np.ndarray, np.ndarray]:
+    """F = U' D^{-1} U and g = U' D^{-1} z for U = [X, Psi], summed over
+    blocks of rows, so no n x (p + r) array is formed.
+    """
+    q = x.shape[1] + psi.shape[1]
+    f, g = np.zeros((q, q)), np.zeros(q)
+    for start in range(0, z.size, _GRAM_ROWS):
+        rows = slice(start, start + _GRAM_ROWS)
+        scale = 1.0 / np.sqrt(d[rows])
+        whitened = np.hstack([x[rows], psi[rows]]) * scale[:, None]
+        f += whitened.T @ whitened
+        g += whitened.T @ (z[rows] * scale)
+    return f, g
+
+
+def _diagonalise(f, g, base: BaseMeasure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonalise the coefficient posterior against the spatial prior.
+
+    ``base`` is the prior at sigma2_eta = 1, so P_1 = F + Sigma0^{-1} is
+    the posterior precision there and P = P_1 + (1/sigma2_eta - 1) B at
+    any sigma2_eta, with B = blockdiag(0, K^{-1}).  The pencil (B, P_1) is
+    symmetric-definite: with P_1 = C C' and R diag(mu) R' the
+    eigendecomposition of C^{-1} B C^{-T}, V = C^{-T} R gives V' P_1 V = I
+    and V' B V = diag(mu), mu in [0, 1].  So V' P V = diag(1/s) with
+    s = ``_pencil_scales(mu, sigma2_eta)``, and theta | sigma2_eta is
+    N(V (s t), V diag(s) V') with t = V' g.
+
+    Returns (mu, V, t).  Raises DefinitenessError when P_1 is not
+    positive definite.
+    """
+    p = base.p
+    try:
+        chol = np.linalg.cholesky(f + base.prior_precision())
+    except np.linalg.LinAlgError:
+        raise DefinitenessError(
+            "coefficient posterior precision is not positive definite; "
+            "check that the basis precision K^{-1} is"
+        ) from None
+    chol_inv = np.linalg.inv(chol)
+    half = chol_inv[:, p:]
+    mu, rot = np.linalg.eigh(half @ base.k_inv @ half.T)
+    v = chol_inv.T @ rot
+    return np.clip(mu, 0.0, 1.0), v, v.T @ g
+
+
+def _pencil_scales(mu: np.ndarray, sigma2_eta: float) -> np.ndarray:
+    """Posterior variances s of V^{-1} theta at sigma2_eta (see ``_diagonalise``)."""
+    return 1.0 / (1.0 + (1.0 / sigma2_eta - 1.0) * mu)
+
+
 def fit_msm(z, d, x, basis: MoranBasis, config: MsmConfig | None = None) -> PosteriorDraws:
     """Gibbs-sample the spatial mixed-effects model.
 
     Each sweep draws theta = (beta, eta) from its joint conditional given
     sigma2_eta, then sigma2_eta given eta, starting from sigma2_eta = 1.
-    The data enter through one ``_ClusterStats`` over every row, formed
-    once.  Retained iterations are those at or past burn_in, stepping by
-    thin; the latent field y = X beta + Psi eta is stored per retained
-    draw.
+    Both run in the coordinates w = V^{-1} theta of ``_diagonalise``,
+    formed once per fit: w ~ N(s t, diag(s)), and eta' K^{-1} eta =
+    sum mu w^2.  Retained iterations are those at or past burn_in,
+    stepping by thin; for those, theta = V w and the latent field
+    y = X beta + Psi eta are stored.
 
-    Raises DivergenceError (with the iteration index) if any draw goes
-    non-finite.
+    Raises DefinitenessError if the posterior precision at sigma2_eta = 1
+    is not positive definite, and DivergenceError (with the iteration
+    index) if any draw goes non-finite.
     """
     config = config or MsmConfig()
     config.validate()
@@ -322,29 +382,29 @@ def fit_msm(z, d, x, basis: MoranBasis, config: MsmConfig | None = None) -> Post
         raise ShapeError("basis precision must be (r, r)")
 
     rng = np.random.default_rng(config.seed)
-    u = np.hstack([x, psi])
-    stats = _ClusterStats(slice(None), z, d, u)
+    base = BaseMeasure.from_basis(basis, p, config.sigma2_beta, 1.0)
+    mu, v, t = _diagonalise(*_data_precision(z, d, x, psi), base)
     fixed = config.sigma2_eta_fixed
     sigma2_eta = 1.0 if fixed is None else float(fixed)
 
     draws = DrawRecorder(config)
-    for t in range(config.iterations):
-        base = BaseMeasure.from_basis(basis, p, config.sigma2_beta, sigma2_eta)
-        theta = _posterior_draw(rng, *stats.posterior(base.prior_precision()))
-        eta = theta[p:]
+    for sweep in range(config.iterations):
+        s = _pencil_scales(mu, sigma2_eta)
+        w = s * t + np.sqrt(s) * rng.standard_normal(s.size)
 
         if fixed is None:
-            quad = float(eta @ base.k_inv @ eta)
-            shape, scale = _inverse_gamma_conditional(config.a_eta, config.b_eta, r, quad, t)
+            quad = float(mu @ (w * w))
+            shape, scale = _inverse_gamma_conditional(config.a_eta, config.b_eta, r, quad, sweep)
             sigma2_eta = draw_inverse_gamma(rng, shape, scale)
 
-        if not (np.all(np.isfinite(theta)) and np.isfinite(sigma2_eta)):
-            raise DivergenceError("non-finite draw", iteration=t)
+        if not (np.all(np.isfinite(w)) and np.isfinite(sigma2_eta)):
+            raise DivergenceError("non-finite draw", iteration=sweep)
 
-        if draws.wants(t):
-            y = u @ theta
+        if draws.wants(sweep):
+            theta = v @ w
+            y = x @ theta[:p] + psi @ theta[p:]
             if not np.all(np.isfinite(y)):
-                raise DivergenceError("non-finite latent field", iteration=t)
-            draws.record(beta=theta[:p], eta=eta, sigma2_eta=sigma2_eta, y=y)
+                raise DivergenceError("non-finite latent field", iteration=sweep)
+            draws.record(beta=theta[:p], eta=theta[p:], sigma2_eta=sigma2_eta, y=y)
 
     return PosteriorDraws(**draws.columns, seed=config.seed)

@@ -329,6 +329,36 @@ class TestCache:
         assert np.array_equal(loaded.eigenvalues, basis.eigenvalues)
         assert loaded.n_positive == basis.n_positive
         assert loaded.tolerance == basis.tolerance
+        assert loaded.cells == basis.cells == 1
+
+    @pytest.mark.parametrize("n_cells", [1, 4])
+    def test_round_trip_stores_area_rows(self, tmp_path, n_cells):
+        rng = np.random.default_rng(40 + n_cells)
+        w = random_connected_adjacency(10, rng)
+        x = area_design(10, n_cells, rng)
+        basis = build_basis(x, w)
+        assert basis.cells == n_cells
+        path = save_basis(basis, tmp_path, "a" * 64)
+        with np.load(path) as data:
+            assert data["area_psi"].shape == (10, basis.r)
+            assert "psi" not in data
+        loaded = load_basis(tmp_path, "a" * 64)
+        assert loaded.cells == n_cells
+        assert np.array_equal(loaded.psi, basis.psi)
+        assert np.array_equal(loaded.k_inv, basis.k_inv)
+        assert np.array_equal(loaded.k, basis.k)
+        assert np.array_equal(loaded.eigenvalues, basis.eigenvalues)
+
+    def test_old_format_entry_is_a_miss(self, small_inputs, tmp_path):
+        # the layout before area rows: the full (n, r) psi and no cells
+        _, x, a, basis = small_inputs
+        key = basis_cache_key(x, a)
+        with open(cache_path(tmp_path, key), "wb") as fh:
+            np.savez(
+                fh, psi=basis.psi, eigenvalues=basis.eigenvalues, k_inv=basis.k_inv,
+                k=basis.k, meta=np.array([float(basis.n_positive), basis.tolerance]),
+            )
+        assert load_basis(tmp_path, key) is None
 
     def test_missing_key_returns_none(self, tmp_path):
         assert load_basis(tmp_path, "0" * 64) is None

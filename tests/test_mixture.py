@@ -14,6 +14,7 @@ from areamix import (
     MixtureConfig,
     MixtureState,
     MoranBasis,
+    MsmConfig,
     build_adjacency,
     build_basis,
     build_design,
@@ -21,6 +22,7 @@ from areamix import (
     crp_assignment_probs,
     crp_simulate,
     expand_multivariate,
+    fit_msm,
     fit_msmm_dp,
     fit_msmm_truncated,
     prior_expected_clusters,
@@ -614,6 +616,17 @@ class TestFitDp:
         assert fit.n_clusters.min() > 2
         want = prior_expected_clusters(20.0, z.size)
         assert fit.n_clusters.mean() == pytest.approx(want, abs=2.0)
+
+
+class TestMsmOnBlankInputs:
+    def test_fits_zero(self, blank_inputs):
+        # msm, the one-cluster case, runs on the same inputs: u = 0 makes
+        # every fitted y exactly 0 whatever the coefficients drawn
+        z, d, x, basis = blank_inputs
+        fit = fit_msm(z, d, x, basis, MsmConfig(iterations=40, burn_in=10, seed=3))
+        assert fit.n_retained == 30
+        assert np.all(fit.y == 0.0)
+        assert np.all(np.isfinite(fit.beta)) and np.all(np.isfinite(fit.eta))
 
 
 class TestSwitchLabels:

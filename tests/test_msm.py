@@ -4,10 +4,15 @@ from scipy import stats
 
 from areamix import (
     BaseMeasure,
+    DefinitenessError,
     DivergenceError,
     DomainError,
+    MoranBasis,
     MsmConfig,
     ShapeError,
+    build_adjacency,
+    build_basis,
+    build_design,
     cluster_posterior,
     conditional_beta,
     conditional_eta,
@@ -16,6 +21,7 @@ from areamix import (
     fit_msm,
     msm,
 )
+from areamix.synthetic import two_field_study
 
 
 def joint_gaussian_condition(prior_cov, design, noise_var, obs):
@@ -214,22 +220,60 @@ class TestFitMsm:
 
 
 class TestSharedAtomKernel:
-    """msm is the one-cluster case of the mixture: it draws its coefficients
-    through the atom posterior that the mixture samplers and
-    ``cluster_posterior`` use."""
+    """msm is the one-cluster case of the mixture.  ``fit_msm`` draws its
+    coefficients through a once-per-fit diagonalisation of the atom
+    posterior; ``cluster_posterior`` (the mixture's Cholesky path) is its
+    oracle."""
 
-    def test_one_posterior_per_sweep_over_every_row(self, small_inputs, monkeypatch):
+    @staticmethod
+    def area_level_inputs():
+        # 4 x 4 grid, 3 cells per area, basis from the area adjacency (L = 3)
+        study = two_field_study(4, 4, 3, seed=2)
+        x, _ = build_design(study.truth, study.population)
+        basis = build_basis(x, build_adjacency(study.areas, study.edges))
+        return study, x, basis
+
+    def test_data_precision_sums_every_row_in_blocks(self, small_inputs, monkeypatch):
         study, x, _, basis = small_inputs
-        calls: list = []
-        real = msm._ClusterStats.posterior
+        z, d = study.truth.z, study.truth.d
+        stats = msm._ClusterStats(slice(None), z, d, np.hstack([x, basis.psi]))
+        for rows in (5, 18, 4096):
+            monkeypatch.setattr(msm, "_GRAM_ROWS", rows)
+            f, g = msm._data_precision(z, d, x, basis.psi)
+            assert np.allclose(f, stats.f, rtol=1e-12, atol=1e-12 * np.abs(stats.f).max())
+            assert np.allclose(g, stats.g, rtol=1e-12, atol=1e-12 * np.abs(stats.g).max())
 
-        def spy(stats, prec0):
-            calls.append(stats.count)
-            return real(stats, prec0)
+    @pytest.mark.parametrize("level", ["entry", "area"])
+    def test_decomposition_matches_cluster_posterior(self, small_inputs, level):
+        if level == "entry":
+            study, x, _, basis = small_inputs
+        else:
+            study, x, basis = self.area_level_inputs()
+            assert basis.cells == 3 and basis.r > 1
+        z, d = study.truth.z, study.truth.d
+        p = x.shape[1]
+        f, g = msm._data_precision(z, d, x, basis.psi)
+        mu, v, t = msm._diagonalise(f, g, BaseMeasure.from_basis(basis, p, 10.0, 1.0))
+        assert np.all((mu >= 0.0) & (mu <= 1.0))
+        u = np.hstack([x, basis.psi])
+        for sigma2_eta in (1e-4, 1e-2, 1.0, 50.0, 1e4):
+            s = msm._pencil_scales(mu, sigma2_eta)
+            base = BaseMeasure.from_basis(basis, p, 10.0, sigma2_eta)
+            want_mean, want_cov = cluster_posterior(np.arange(z.size), z, d, u, base)
+            mean, cov = v @ (s * t), (v * s) @ v.T
+            assert np.linalg.norm(mean - want_mean) <= 1e-10 * np.linalg.norm(want_mean)
+            assert np.linalg.norm(cov - want_cov) <= 1e-10 * np.linalg.norm(want_cov)
 
-        monkeypatch.setattr(msm._ClusterStats, "posterior", spy)
-        fit_msm(study.truth.z, study.truth.d, x, basis, MsmConfig(iterations=7, burn_in=2))
-        assert calls == [study.truth.n_rows] * 7
+    def test_indefinite_prior_is_a_definiteness_error(self, small_inputs):
+        study, x, _, basis = small_inputs
+        r = basis.r
+        broken = MoranBasis(
+            psi=basis.psi, eigenvalues=basis.eigenvalues, k_inv=-100.0 * np.eye(r),
+            k=-0.01 * np.eye(r), n_positive=basis.n_positive, tolerance=basis.tolerance,
+        )
+        with pytest.raises(DefinitenessError) as caught:
+            fit_msm(study.truth.z, study.truth.d, x, broken, MsmConfig(iterations=5, burn_in=1))
+        assert caught.value.exit_code == 4
 
     def test_fixed_variance_matches_cluster_posterior(self, small_inputs):
         # the inputs and tolerance of TestFitMsm.test_posterior_tracks_closed_form
