@@ -71,9 +71,6 @@ from .mixture import (
 from .msm import (
     MsmConfig,
     PosteriorDraws,
-    conditional_beta,
-    conditional_eta,
-    conditional_sigma2_eta,
     draw_inverse_gamma,
     fit_msm,
 )

@@ -66,6 +66,11 @@ class MoranBasis:
     def r(self) -> int:
         return self.psi.shape[1]
 
+    @property
+    def area_psi(self) -> np.ndarray:
+        """The n / L area rows of psi, one per area (a view)."""
+        return self.psi[:: self.cells]
+
 
 def moran_operator(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """(I - SS') A (I - SS') over the m rows of the adjacency A.
@@ -256,7 +261,7 @@ def save_basis(basis: MoranBasis, directory: str | Path, key: str) -> Path:
         with open(partial, "wb") as fh:
             np.savez(
                 fh,
-                area_psi=basis.psi[:: basis.cells],
+                area_psi=basis.area_psi,
                 cells=np.array(basis.cells),
                 eigenvalues=basis.eigenvalues,
                 k_inv=basis.k_inv,

@@ -13,8 +13,9 @@ cluster's rows (``msm._ClusterStats``): msm is the one-cluster case.
 Ties among the theta_i induce clusters of observations that share one
 regression surface and one spatial field.  Both samplers run one blocked
 sweep over the stick-breaking form G = sum_m pi_m delta(theta_m):
-assignments of all rows at once, sticks, atoms, sigma2_eta over the
-occupied atoms, and alpha from the sticks.
+assignments of all rows at once, sticks, the occupied atoms, sigma2_eta
+over them, the empty atoms under that sigma2_eta, and alpha from the
+sticks.
 
 * fit_msmm_truncated: the process truncated to M components.
 * fit_msmm_dp: the exact process by slice sampling (Walker 2007; Kalli,
@@ -30,7 +31,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
@@ -50,7 +51,6 @@ from .msm import (
 )
 
 _LOG_2PI = math.log(2.0 * math.pi)
-_STICK_EPS = 1e-12  # keep drawn sticks strictly inside (0, 1)
 
 
 @dataclass
@@ -186,11 +186,31 @@ def stick_break(v) -> np.ndarray:
         raise DomainError("need at least one stick fraction")
     if np.any(v <= 0.0) or np.any(v >= 1.0):
         raise DomainError("stick fractions must lie strictly inside (0, 1)")
-    remain = np.concatenate([[1.0], np.cumprod(1.0 - v)])
-    pi = np.empty(v.size + 1)
-    pi[:-1] = v * remain[:-1]
-    pi[-1] = remain[-1]
-    return pi
+    return np.exp(_log_weights(np.array([np.log(v), np.log1p(-v)])))
+
+
+def _log_weights(sticks: np.ndarray) -> np.ndarray:
+    """log pi of the K + 1 weights of K sticks held as (log V, log(1 - V)) rows:
+    log V_k + sum_{b<k} log(1 - V_b), then the mass past them."""
+    log_v, log_w = sticks
+    past = np.concatenate([[0.0], np.cumsum(log_w)])
+    return np.append(log_v + past[:-1], past[-1])
+
+
+def _beta_logs(rng, a, b) -> np.ndarray:
+    """Sticks V ~ Beta(a, b) for the k entries of a (b broadcast against
+    it), as the (2, k) rows (log V, log(1 - V)).
+
+    V = G_a / (G_a + G_b) is formed in logs from independent gammas
+    G_s ~ Gamma(s), each drawn as log G_{s+1} - E / s with E ~ Exp(1).
+    So log(1 - V) stays exact where 1 - V itself would round to 1 or
+    underflow to 0, as it does for the last sticks at a small alpha, and
+    the alpha step reads it.  Every stick comes from here.
+    """
+    shapes = np.empty((2, np.size(a)))
+    shapes[0], shapes[1] = a, b
+    log_g = np.log(rng.standard_gamma(shapes + 1.0)) - rng.standard_exponential(shapes.shape) / shapes
+    return log_g - np.logaddexp(log_g[0], log_g[1])
 
 
 def prior_expected_clusters(alpha: float, n: int) -> float:
@@ -271,34 +291,41 @@ class MixturePosterior:
 
 
 def _draw_atoms(rng, stats, base: BaseMeasure, chol_k, config: MixtureConfig, t: int):
-    """Every component's atom, then sigma2_eta over the occupied ones.
+    """Every component's atom and sigma2_eta, in the partially collapsed order.
 
     ``stats`` yields each component's ``_ClusterStats`` in component
-    order, or None for an empty component, whose atom comes from the base
-    measure (``chol_k`` is the Cholesky factor of K).  sigma2_eta is drawn
-    from InverseGamma(a_eta + k r / 2, b_eta + sum_c eta_c' K^{-1} eta_c / 2)
-    over the k occupied atoms.  Returns (atoms (M, q), k, sigma2_eta).
+    order, or None for an empty component.  The occupied atoms come from
+    their cluster posteriors under ``base``; then sigma2_eta from
+    InverseGamma(a_eta + k r / 2, b_eta + sum_c eta_c' K^{-1} eta_c / 2)
+    over the k occupied atoms; then the empty atoms from the base measure
+    at that new sigma2_eta (``chol_k`` is the Cholesky factor of K).  The
+    empty atoms do not enter the sigma2_eta step, so they must follow it
+    (van Dyk and Park 2008).  Returns (atoms (M, q), k, sigma2_eta).
     """
     prec0 = base.prior_precision()
-    atoms = []
+    atoms, empty = [], []
     eta_quad = 0.0
-    occupied = 0
-    for st in stats:
+    for m, st in enumerate(stats):
         if st is None:
-            atoms.append(base.draw(rng, chol_k))
+            empty.append(m)
+            atoms.append(None)
             continue
         theta = _posterior_draw(rng, *st.posterior(prec0))
         eta = theta[base.p :]
         eta_quad += float(eta @ base.k_inv @ eta)
-        occupied += 1
         atoms.append(theta)
-    theta = np.array(atoms)
-    if not np.all(np.isfinite(theta)):
-        raise DivergenceError("non-finite atom draw", iteration=t)
+    occupied = len(atoms) - len(empty)
     shape, scale = _inverse_gamma_conditional(
         config.a_eta, config.b_eta, occupied * base.r, eta_quad, t
     )
-    return theta, occupied, draw_inverse_gamma(rng, shape, scale)
+    sigma2_eta = draw_inverse_gamma(rng, shape, scale)
+    fresh = replace(base, sigma2_eta=sigma2_eta)
+    for m in empty:
+        atoms[m] = fresh.draw(rng, chol_k)
+    theta = np.array(atoms)
+    if not np.all(np.isfinite(theta)):
+        raise DivergenceError("non-finite atom draw", iteration=t)
+    return theta, occupied, sigma2_eta
 
 
 def _prepare(z, d, x, basis: MoranBasis, config: MixtureConfig | None):
@@ -320,11 +347,10 @@ def _assign(rng, z, d, u, theta, log_prior, log_d_term) -> np.ndarray:
 
 def _draw_sticks(rng, counts: np.ndarray, alpha: float) -> np.ndarray:
     """Sticks V_m ~ Beta(1 + n_m, alpha + sum_{l>m} n_l) of the first M - 1 of
-    the M components counted in ``counts``; the last takes the rest."""
-    m_comp = counts.size
+    the M components counted in ``counts``, as ``_beta_logs`` rows; the
+    last takes the rest."""
     tail = counts[::-1].cumsum()[::-1]
-    v = rng.beta(1.0 + counts[: m_comp - 1], alpha + tail[1:])
-    return np.clip(v, _STICK_EPS, 1.0 - _STICK_EPS)
+    return _beta_logs(rng, 1.0 + counts[:-1], alpha + tail[1:])
 
 
 def _component_stats(c: np.ndarray, m_comp: int, z, d, u):
@@ -336,14 +362,13 @@ def _component_stats(c: np.ndarray, m_comp: int, z, d, u):
     )
 
 
-def _draw_alpha(rng, v: np.ndarray, alpha: float, config: MixtureConfig) -> float:
+def _draw_alpha(rng, sticks: np.ndarray, alpha: float, config: MixtureConfig) -> float:
     """alpha ~ Gamma(a_alpha + M - 1, b_alpha - sum_m log(1 - V_m)) given the
     M - 1 sticks of ``_draw_sticks``; a pinned ``alpha_fixed`` stays."""
     if config.alpha_fixed is not None:
         return alpha
-    m_comp = v.size + 1
-    rate = config.b_alpha - float(np.sum(np.log1p(-v)))
-    return float(rng.gamma(config.a_alpha + m_comp - 1.0, 1.0 / rate))
+    log_w = sticks[1]
+    return float(rng.gamma(config.a_alpha + log_w.size, 1.0 / (config.b_alpha - log_w.sum())))
 
 
 def _record(draws: DrawRecorder, t: int, u, theta, c, alpha, sigma2_eta, k_occ) -> None:
@@ -361,39 +386,43 @@ def _record(draws: DrawRecorder, t: int, u, theta, c, alpha, sigma2_eta, k_occ) 
         )
 
 
-def _switch_labels(rng, c: np.ndarray, v: np.ndarray, alpha: float):
+def _switch_labels(rng, c: np.ndarray, sticks: np.ndarray, alpha: float):
     """Label-switching moves (after Papaspiliopoulos and Roberts 2008; Hastie,
     Liverani and Richardson 2015), atoms integrated out.
 
     The other steps barely move the clusters' stick-breaking order, which
     the alpha step reads.  So for j = 0, 1, ... up to the last occupied
     component, components j and j + 1 propose to trade places and weights:
-    V_j' = V_{j+1}(1 - V_j), V_{j+1}' = V_j / (1 - V_j').  The map is its
-    own inverse and keeps the likelihood and the stick prior, so it is
-    accepted with its Jacobian (1 - V_j) / (1 - V_j').  A stick past the
-    last one comes from its prior Beta(1, alpha).  Returns the relabelled
-    c and the sticks up to the last occupied component.
+    V_j' = V_{j+1} W_j and V_{j+1}' = V_j / W_j', with W = 1 - V, so
+    W_j' = W_{j+1} + V_{j+1} V_j and W_{j+1}' = W_j W_{j+1} / W_j' (sums
+    and products, no cancellation; all in logs).  The map is its own
+    inverse and keeps the likelihood and the stick prior, so it is
+    accepted with its Jacobian W_j / W_j'.  A stick past the last one
+    comes from its prior Beta(1, alpha).  ``sticks`` are ``_beta_logs``
+    rows.  Returns the relabelled c and the sticks up to the last
+    occupied component.
     """
-    counts = np.bincount(c, minlength=v.size).tolist()
-    sticks = v.tolist()
+    counts = np.bincount(c, minlength=sticks.shape[1]).tolist()
+    log_v, log_w = sticks.tolist()
     slot = list(range(len(counts)))  # slot[j]: the component now at position j
     top = int(c.max())
     j = 0
     while j <= top:
-        if j + 1 == len(sticks):
-            sticks.append(float(np.clip(rng.beta(1.0, alpha), _STICK_EPS, 1.0 - _STICK_EPS)))
+        if j + 1 == len(log_v):
+            (v_new,), (w_new,) = _beta_logs(rng, [1.0], alpha).tolist()
+            log_v.append(v_new)
+            log_w.append(w_new)
             counts.append(0)
             slot.append(len(slot))
-        v_j, v_next = sticks[j], sticks[j + 1]
-        rest = 1.0 - v_next * (1.0 - v_j)  # 1 - V_j'
-        if rng.random() < (1.0 - v_j) / rest:
-            pair = np.clip([1.0 - rest, v_j / rest], _STICK_EPS, 1.0 - _STICK_EPS)
-            sticks[j], sticks[j + 1] = pair.tolist()
+        w_swap = float(np.logaddexp(log_w[j + 1], log_v[j + 1] + log_v[j]))  # log W_j'
+        if rng.random() < math.exp(log_w[j] - w_swap):
+            log_v[j], log_v[j + 1] = log_v[j + 1] + log_w[j], log_v[j] - w_swap
+            log_w[j], log_w[j + 1] = w_swap, log_w[j] + log_w[j + 1] - w_swap
             counts[j], counts[j + 1] = counts[j + 1], counts[j]
             slot[j], slot[j + 1] = slot[j + 1], slot[j]
             top = max(m for m, count in enumerate(counts) if count)
         j += 1
-    return np.argsort(slot)[c], np.array(sticks[: top + 1])
+    return np.argsort(slot)[c], np.array([log_v[: top + 1], log_w[: top + 1]])
 
 
 def fit_msmm_dp(
@@ -428,32 +457,35 @@ def fit_msmm_dp(
     sigma2_eta = 1.0
     log_d_term = -0.5 * (_LOG_2PI + np.log(d))
     c = crp_simulate(alpha, z.size, rng)
-    v = _draw_sticks(rng, np.bincount(c, minlength=c.max() + 2), alpha)
+    sticks = _draw_sticks(rng, np.bincount(c, minlength=c.max() + 2), alpha)
     prec0 = BaseMeasure.from_basis(basis, p, config.sigma2_beta, sigma2_eta).prior_precision()
     theta = np.array(
-        [_posterior_draw(rng, *st.posterior(prec0)) for st in _component_stats(c, v.size, z, d, u)]
+        [
+            _posterior_draw(rng, *st.posterior(prec0))
+            for st in _component_stats(c, sticks.shape[1], z, d, u)
+        ]
     )
 
     draws = DrawRecorder(config)
     for t in range(config.iterations):
         base = BaseMeasure.from_basis(basis, p, config.sigma2_beta, sigma2_eta)
-        pi = stick_break(v)  # the K weights, then the mass past them
+        pi = np.exp(_log_weights(sticks))  # the K weights, then the mass past them
         s = pi[c] * rng.random(z.size)
-        rest, added = pi[-1], []
+        rest = pi[-1]
         while rest >= s.min():
-            added.append(np.clip(rng.beta(1.0, alpha), _STICK_EPS, 1.0 - _STICK_EPS))
-            rest *= 1.0 - added[-1]
+            added = _beta_logs(rng, [1.0], alpha)
+            rest *= math.exp(added[1, 0])
+            sticks = np.hstack([sticks, added])
             theta = np.vstack([theta, base.draw(rng, chol_k)])
-        v = np.append(v, added)
-        pi = stick_break(v)
+        pi = np.exp(_log_weights(sticks))
 
         admitted = np.where(pi[None, :-1] > s[:, None], 0.0, -np.inf)
         c = _assign(rng, z, d, u, theta, admitted, log_d_term)
-        v = _draw_sticks(rng, np.bincount(c, minlength=c.max() + 2), alpha)
-        c, v = _switch_labels(rng, c, v, alpha)
-        stats = _component_stats(c, v.size, z, d, u)
+        sticks = _draw_sticks(rng, np.bincount(c, minlength=c.max() + 2), alpha)
+        c, sticks = _switch_labels(rng, c, sticks, alpha)
+        stats = _component_stats(c, sticks.shape[1], z, d, u)
         theta, k_occ, sigma2_eta = _draw_atoms(rng, stats, base, chol_k, config, t)
-        alpha = _draw_alpha(rng, v, alpha, config)
+        alpha = _draw_alpha(rng, sticks, alpha, config)
         _record(draws, t, u, theta, c, alpha, sigma2_eta, k_occ)
 
     return MixturePosterior(**draws.columns, seed=config.seed)
@@ -466,10 +498,10 @@ def fit_msmm_truncated(
 
     Scan per iteration: assignments from the categorical conditional
     pi_m N(z_i; u_i' theta_m, d_i); sticks V_m ~ Beta(1 + n_m,
-    alpha + sum_{l>m} n_l) with V_M = 1; atoms from their cluster
-    posteriors (empty components refresh from the base measure);
-    sigma2_eta over occupied components; alpha ~ Gamma(a_alpha + M - 1,
-    b_alpha - sum_{m<M} log(1 - V_m)).
+    alpha + sum_{l>m} n_l) with V_M = 1; occupied atoms from their
+    cluster posteriors; sigma2_eta over them; empty components' atoms
+    from the base measure at that sigma2_eta; alpha ~ Gamma(a_alpha +
+    M - 1, b_alpha - sum_{m<M} log(1 - V_m)).
     """
     config, z, d, u, p = _prepare(z, d, x, basis, config)
     m_comp = config.truncation_m
@@ -479,22 +511,18 @@ def fit_msmm_truncated(
     theta = np.zeros((m_comp, u.shape[1]))
     alpha = config.alpha_fixed if config.alpha_fixed is not None else 1.0
     sigma2_eta = 1.0
-    v = np.clip(rng.beta(1.0, alpha, size=m_comp - 1), _STICK_EPS, 1.0 - _STICK_EPS)
-    pi = stick_break(v)
+    sticks = _beta_logs(rng, np.ones(m_comp - 1), alpha)
     log_d_term = -0.5 * (_LOG_2PI + np.log(d))
 
     draws = DrawRecorder(config)
     for t in range(config.iterations):
-        with np.errstate(divide="ignore"):
-            log_pi = np.log(pi)
-        c = _assign(rng, z, d, u, theta, log_pi, log_d_term)
-        v = _draw_sticks(rng, np.bincount(c, minlength=m_comp), alpha)
-        pi = stick_break(v)
+        c = _assign(rng, z, d, u, theta, _log_weights(sticks), log_d_term)
+        sticks = _draw_sticks(rng, np.bincount(c, minlength=m_comp), alpha)
 
         base = BaseMeasure.from_basis(basis, p, config.sigma2_beta, sigma2_eta)
         stats = _component_stats(c, m_comp, z, d, u)
         theta, k_occ, sigma2_eta = _draw_atoms(rng, stats, base, chol_k, config, t)
-        alpha = _draw_alpha(rng, v, alpha, config)
+        alpha = _draw_alpha(rng, sticks, alpha, config)
         _record(draws, t, u, theta, c, alpha, sigma2_eta, k_occ)
 
     return MixturePosterior(**draws.columns, seed=config.seed)

@@ -8,15 +8,22 @@ Priors
     sigma2_eta ~ InverseGamma(a_eta, b_eta)   [shape/scale]
 
 Given sigma2_eta, theta = (beta, eta) has the Gaussian prior
-``BaseMeasure`` and, with U = [X, Psi], the Gaussian posterior of
-precision P = U' D^{-1} U + Sigma0^{-1}.  Only sigma2_eta moves P between
-sweeps, and it moves P along B = blockdiag(0, K^{-1}) alone, so
-``fit_msm`` diagonalises P against B once per fit (``_diagonalise``) and
-then draws theta in O(p + r) a sweep, then sigma2_eta.  The mixture
-model (``mixture``) draws each cluster's atom from the same prior with
-``_ClusterStats``, which forms the posterior by a Cholesky factor; this
-model is its one-cluster case, and ``_ClusterStats`` is the oracle its
-decomposition is tested against.
+``BaseMeasure`` and, with U = [X, Psi], one Gaussian posterior of
+precision P = U' D^{-1} U + Sigma0^{-1}; sigma2_eta given eta is
+inverse gamma (``_inverse_gamma_conditional``).  The module forms that
+coefficient posterior two ways:
+
+* ``_ClusterStats.posterior`` sums F = U' D^{-1} U over a set of rows
+  and factors P by Cholesky.  The mixture samplers (``mixture``) draw
+  each cluster's atom with it, and it is the oracle of the fast path.
+* ``fit_msm`` is the one-cluster case.  It sums F per area from the
+  basis's area rows (``_data_precision``), and since only sigma2_eta
+  moves P between sweeps, along B = blockdiag(0, K^{-1}) alone, it
+  diagonalises P against B once per fit (``_diagonalise``) and then
+  draws theta and sigma2_eta in O(p + r) a sweep.
+
+``ChainConfig`` and ``DrawRecorder`` are the chain settings and draw
+storage that every sampler shares.
 """
 
 from __future__ import annotations
@@ -239,55 +246,6 @@ class _ClusterStats:
         return _posterior_factor(prec0 + self.f, self.g)
 
 
-def conditional_beta(z, d, x, psi, eta, sigma2_beta: float):
-    """Full conditional of beta: N(mean, cov) with
-    cov = (X' D^{-1} X + I/sigma2_beta)^{-1},
-    mean = cov X' D^{-1} (z - Psi eta).
-    No sampler runs it: ``fit_msm`` draws (beta, eta) jointly.
-    """
-    z, d, x, psi = _check_data(z, d, x, psi)
-    eta = np.asarray(eta, dtype=float).ravel()
-    if sigma2_beta <= 0:
-        raise DomainError("sigma2_beta must be positive")
-    p = x.shape[1]
-    xt_dinv = x.T / d
-    prec = xt_dinv @ x + np.eye(p) / sigma2_beta
-    lin = xt_dinv @ (z - psi @ eta)
-    chol, mean = _posterior_factor(prec, lin)
-    return mean, _cov_from_chol(chol)
-
-
-def conditional_eta(z, d, x, psi, beta, k_inv, sigma2_eta: float):
-    """Full conditional of eta: N(mean, cov) with
-    cov = (Psi' D^{-1} Psi + K^{-1}/sigma2_eta)^{-1},
-    mean = cov Psi' D^{-1} (z - X beta).
-    No sampler runs it: ``fit_msm`` draws (beta, eta) jointly.
-    """
-    z, d, x, psi = _check_data(z, d, x, psi)
-    beta = np.asarray(beta, dtype=float).ravel()
-    k_inv = np.asarray(k_inv, dtype=float)
-    if sigma2_eta <= 0:
-        raise DomainError("sigma2_eta must be positive")
-    psit_dinv = psi.T / d
-    prec = psit_dinv @ psi + k_inv / sigma2_eta
-    lin = psit_dinv @ (z - x @ beta)
-    chol, mean = _posterior_factor(prec, lin)
-    return mean, _cov_from_chol(chol)
-
-
-def conditional_sigma2_eta(eta, k_inv, a_eta: float, b_eta: float) -> tuple[float, float]:
-    """Inverse-gamma full conditional (shape, scale):
-    shape = a_eta + r/2, scale = b_eta + eta' K^{-1} eta / 2.
-    """
-    eta = np.asarray(eta, dtype=float).ravel()
-    k_inv = np.asarray(k_inv, dtype=float)
-    if a_eta <= 0 or b_eta <= 0:
-        raise DomainError("a_eta and b_eta must be positive")
-    if k_inv.shape != (eta.size, eta.size):
-        raise ShapeError("k_inv must be (r, r)")
-    return _inverse_gamma_conditional(a_eta, b_eta, eta.size, float(eta @ k_inv @ eta))
-
-
 def _inverse_gamma_conditional(a, b, dof, quad: float, iteration=None) -> tuple[float, float]:
     """(shape, scale) = (a + dof/2, b + quad/2): an InverseGamma(a, b) variance
     given ``dof`` Gaussian coordinates with precision-weighted sum of squares
@@ -304,22 +262,25 @@ def draw_inverse_gamma(rng: np.random.Generator, shape: float, scale: float) -> 
     return float(1.0 / rng.gamma(shape, 1.0 / scale))
 
 
-# rows of [X, Psi] whitened at a time while U' D^{-1} U is summed
-_GRAM_ROWS = 4096
+def _data_precision(z, d, x, basis: MoranBasis) -> tuple[np.ndarray, np.ndarray]:
+    """F = U' D^{-1} U and g = U' D^{-1} z for U = [X, Psi], summed per area.
 
-
-def _data_precision(z, d, x, psi) -> tuple[np.ndarray, np.ndarray]:
-    """F = U' D^{-1} U and g = U' D^{-1} z for U = [X, Psi], summed over
-    blocks of rows, so no n x (p + r) array is formed.
+    Each area's L entries share one row of Psi, the area row a_k of
+    A = ``basis.area_psi``.  So with the per-area sums s_w = sum_l 1/d,
+    s_x = sum_l x/d and s_z = sum_l z/d,
+    F = [[X' D^{-1} X, s_x' A], [A' s_x, A' diag(s_w) A]] and
+    g = [X' D^{-1} z, A' s_z]; no n x r product is formed.  For an
+    entry-level basis (L = 1) these are the sums over rows.
     """
-    q = x.shape[1] + psi.shape[1]
-    f, g = np.zeros((q, q)), np.zeros(q)
-    for start in range(0, z.size, _GRAM_ROWS):
-        rows = slice(start, start + _GRAM_ROWS)
-        scale = 1.0 / np.sqrt(d[rows])
-        whitened = np.hstack([x[rows], psi[rows]]) * scale[:, None]
-        f += whitened.T @ whitened
-        g += whitened.T @ (z[rows] * scale)
+    area = basis.area_psi
+    m, p = area.shape[0], x.shape[1]
+    x_d = x / d[:, None]
+    s_x = x_d.reshape(m, basis.cells, p).sum(axis=1)
+    s_w = (1.0 / d).reshape(m, basis.cells).sum(axis=1)
+    s_z = (z / d).reshape(m, basis.cells).sum(axis=1)
+    cross = s_x.T @ area
+    f = np.block([[x_d.T @ x, cross], [cross.T, (area.T * s_w) @ area]])
+    g = np.concatenate([x_d.T @ z, area.T @ s_z])
     return f, g
 
 
@@ -367,7 +328,8 @@ def fit_msm(z, d, x, basis: MoranBasis, config: MsmConfig | None = None) -> Post
     formed once per fit: w ~ N(s t, diag(s)), and eta' K^{-1} eta =
     sum mu w^2.  Retained iterations are those at or past burn_in,
     stepping by thin; for those, theta = V w and the latent field
-    y = X beta + Psi eta are stored.
+    y = X beta + Psi eta are stored, with Psi eta formed on the area
+    rows and repeated over each area's L entries.
 
     Raises DefinitenessError if the posterior precision at sigma2_eta = 1
     is not positive definite, and DivergenceError (with the iteration
@@ -375,15 +337,14 @@ def fit_msm(z, d, x, basis: MoranBasis, config: MsmConfig | None = None) -> Post
     """
     config = config or MsmConfig()
     config.validate()
-    z, d, x, psi = _check_data(z, d, x, basis.psi)
-    p = x.shape[1]
-    r = psi.shape[1]
+    z, d, x, _ = _check_data(z, d, x, basis.psi)
+    p, r = x.shape[1], basis.r
     if basis.k_inv.shape != (r, r):
         raise ShapeError("basis precision must be (r, r)")
 
     rng = np.random.default_rng(config.seed)
     base = BaseMeasure.from_basis(basis, p, config.sigma2_beta, 1.0)
-    mu, v, t = _diagonalise(*_data_precision(z, d, x, psi), base)
+    mu, v, t = _diagonalise(*_data_precision(z, d, x, basis), base)
     fixed = config.sigma2_eta_fixed
     sigma2_eta = 1.0 if fixed is None else float(fixed)
 
@@ -402,7 +363,7 @@ def fit_msm(z, d, x, basis: MoranBasis, config: MsmConfig | None = None) -> Post
 
         if draws.wants(sweep):
             theta = v @ w
-            y = x @ theta[:p] + psi @ theta[p:]
+            y = x @ theta[:p] + np.repeat(basis.area_psi @ theta[p:], basis.cells)
             if not np.all(np.isfinite(y)):
                 raise DivergenceError("non-finite latent field", iteration=sweep)
             draws.record(beta=theta[:p], eta=theta[p:], sigma2_eta=sigma2_eta, y=y)

@@ -235,31 +235,23 @@ def log_transform(table: TabulationTable) -> LogTable:
     )
 
 
-def gvf_impute(
-    log_table: LogTable,
-    predictor: np.ndarray | None = None,
-    span: float = 0.75,
-) -> LogTable:
+def gvf_impute(log_table: LogTable, span: float = 0.75) -> LogTable:
     """Fill undefined log-scale variances by smoothing the defined ones.
 
     A local-linear tricube smoother of variance on a size predictor plays
-    the role of a generalised variance function.  The predictor defaults
-    to log sample size when the table has one, otherwise to z itself.
-    Smoothed values are clipped below at IMPUTATION_FLOOR.
+    the role of a generalised variance function.  The predictor is log
+    sample size when the table has one, otherwise z itself.  Smoothed
+    values are clipped below at IMPUTATION_FLOOR.
     """
     d = log_table.d
     defined = np.isfinite(d)
     n_defined = int(defined.sum())
     if n_defined == 0:
         raise InsufficientDataError("all variances are undefined; nothing to smooth on")
-    if predictor is None:
-        if log_table.sample_sizes is not None:
-            predictor = np.log(log_table.sample_sizes)
-        else:
-            predictor = log_table.z
-    predictor = np.asarray(predictor, dtype=float).ravel()
-    if predictor.shape != d.shape:
-        raise ShapeError("predictor must have one value per table row")
+    if log_table.sample_sizes is not None:
+        predictor = np.log(log_table.sample_sizes)
+    else:
+        predictor = log_table.z
     if n_defined < 5:
         raise InsufficientDataError(
             f"need at least 5 defined variances to smooth, got {n_defined}"

@@ -590,7 +590,7 @@ class TestFitDp:
             iterations=8000, burn_in=1000, seed=7, a_alpha=1.0, b_alpha=4.0
         )
         fit = fit_msmm_dp(z, d, x, basis, cfg)
-        assert fit.alpha.mean() == pytest.approx(0.25, abs=0.035)
+        assert abs(fit.alpha.mean() - 0.25) < 3.0 * batch_means_se(fit.alpha)
 
     def test_finds_structure_in_two_field_truth(self, small_inputs):
         study, x, _, basis = small_inputs
@@ -641,9 +641,9 @@ class TestSwitchLabels:
         c = np.array([0] * a + [1] * b)
         first = np.empty(20000)
         for t in range(first.size):
-            v = mixture._draw_sticks(rng, np.bincount(c, minlength=c.max() + 2), alpha)
-            c, v = mixture._switch_labels(rng, c, v, alpha)
-            assert v.size == c.max() + 1
+            sticks = mixture._draw_sticks(rng, np.bincount(c, minlength=c.max() + 2), alpha)
+            c, sticks = mixture._switch_labels(rng, c, sticks, alpha)
+            assert sticks.shape == (2, c.max() + 1)
             first[t] = c[0] == 0 and c[-1] == 1  # the a-block first, the b-block second
 
         def log_weight(counts):
@@ -656,6 +656,37 @@ class TestSwitchLabels:
         )
         want = math.exp(log_weight(np.array([a, b])) - log_partition)
         assert abs(first.mean() - want) < 4.0 * batch_means_se(first)
+
+
+class TestEmptyAtoms:
+    @pytest.mark.parametrize("fit", [fit_msmm_truncated, fit_msmm_dp], ids=["truncated", "dp"])
+    def test_drawn_under_the_sweeps_sigma2_eta(self, small_inputs, monkeypatch, fit):
+        # the atom step draws the occupied atoms, then sigma2_eta, then the
+        # empty components' atoms from the base measure under that new
+        # sigma2_eta: the one the chain records for the same sweep
+        study, x, _, basis = small_inputs
+        sweep, used = [None], []
+        draw_atoms, base_draw = mixture._draw_atoms, BaseMeasure.draw
+
+        def atoms_spy(rng, stats, base, chol_k, config, t):
+            sweep[0] = t
+            try:
+                return draw_atoms(rng, stats, base, chol_k, config, t)
+            finally:
+                sweep[0] = None
+
+        def draw_spy(self, rng, chol_k=None):
+            if sweep[0] is not None:
+                used.append((sweep[0], self.sigma2_eta))
+            return base_draw(self, rng, chol_k)
+
+        monkeypatch.setattr(mixture, "_draw_atoms", atoms_spy)
+        monkeypatch.setattr(BaseMeasure, "draw", draw_spy)
+        cfg = MixtureConfig(iterations=150, burn_in=0, seed=5)
+        chain = fit(study.truth.z, study.truth.d, x, basis, cfg)
+        assert used  # some sweeps had empty components
+        for t, sigma2_eta in used:
+            assert sigma2_eta == chain.sigma2_eta[t]
 
 
 def _mcse_gap(a, b) -> float:
@@ -740,6 +771,17 @@ class TestFitTruncated:
         together = np.mean(fit.assignments[:, 0] == fit.assignments[:, 1])
         assert together == pytest.approx(0.5, abs=0.05)
         assert np.all(fit.y == 0.0)
+
+    def test_prior_only_alpha_marginal_is_prior(self, blank_inputs):
+        # as for the slice sampler: alpha integrates back to its Gamma(1, 4)
+        # prior, mean 0.25, which needs log(1 - V) of sticks whose 1 - V
+        # underflows at small alpha
+        z, d, x, basis = blank_inputs
+        cfg = MixtureConfig(
+            iterations=8000, burn_in=1000, seed=7, a_alpha=1.0, b_alpha=4.0
+        )
+        fit = fit_msmm_truncated(z, d, x, basis, cfg)
+        assert abs(fit.alpha.mean() - 0.25) < 3.0 * batch_means_se(fit.alpha)
 
     def test_n_clusters_counts_occupied(self, small_inputs):
         study, x, _, basis = small_inputs

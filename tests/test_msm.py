@@ -9,14 +9,10 @@ from areamix import (
     DomainError,
     MoranBasis,
     MsmConfig,
-    ShapeError,
     build_adjacency,
     build_basis,
     build_design,
     cluster_posterior,
-    conditional_beta,
-    conditional_eta,
-    conditional_sigma2_eta,
     draw_inverse_gamma,
     fit_msm,
     msm,
@@ -38,84 +34,24 @@ def joint_gaussian_condition(prior_cov, design, noise_var, obs):
     return mean, (cov + cov.T) / 2.0
 
 
-@pytest.fixture(scope="module")
-def toy_problem():
-    rng = np.random.default_rng(123)
-    n, p, r = 9, 2, 3
-    x = np.column_stack([np.ones(n), rng.normal(size=n)])
-    psi_raw = rng.normal(size=(n, r))
-    psi, _ = np.linalg.qr(psi_raw)
-    m = rng.normal(size=(r, r))
-    k_inv = m @ m.T + np.eye(r)
-    z = rng.normal(size=n)
-    d = rng.uniform(0.2, 1.0, size=n)
-    return z, d, x, psi, k_inv
-
-
-class TestConditionalBeta:
-    def test_pinned_two_point_case(self):
-        # X = (1, 1)', d = (1, 1), z = (0, 2): precision 2.01, mean 2/2.01
-        z = np.array([0.0, 2.0])
-        d = np.array([1.0, 1.0])
-        x = np.ones((2, 1))
-        psi = np.zeros((2, 1))
-        eta = np.zeros(1)
-        mean, cov = conditional_beta(z, d, x, psi, eta, sigma2_beta=100.0)
-        assert cov[0, 0] == pytest.approx(1.0 / 2.01, rel=1e-12)
-        assert mean[0] == pytest.approx(2.0 / 2.01, rel=1e-12)
-
-    def test_matches_joint_gaussian_route(self, toy_problem):
-        z, d, x, psi, _ = toy_problem
-        rng = np.random.default_rng(5)
-        eta = rng.normal(size=psi.shape[1])
-        sigma2_beta = 7.3
-        mean, cov = conditional_beta(z, d, x, psi, eta, sigma2_beta)
-        prior = sigma2_beta * np.eye(x.shape[1])
-        want_mean, want_cov = joint_gaussian_condition(prior, x, d, z - psi @ eta)
-        assert np.allclose(mean, want_mean, rtol=1e-10)
-        assert np.allclose(cov, want_cov, rtol=1e-10)
-
-    def test_bad_prior_variance(self, toy_problem):
-        z, d, x, psi, _ = toy_problem
-        with pytest.raises(DomainError):
-            conditional_beta(z, d, x, psi, np.zeros(psi.shape[1]), 0.0)
-
-
-class TestConditionalEta:
-    def test_matches_joint_gaussian_route(self, toy_problem):
-        z, d, x, psi, k_inv = toy_problem
-        rng = np.random.default_rng(6)
-        beta = rng.normal(size=x.shape[1])
-        sigma2_eta = 0.6
-        mean, cov = conditional_eta(z, d, x, psi, beta, k_inv, sigma2_eta)
-        prior = sigma2_eta * np.linalg.inv(k_inv)
-        want_mean, want_cov = joint_gaussian_condition(prior, psi, d, z - x @ beta)
-        assert np.allclose(mean, want_mean, rtol=1e-9)
-        assert np.allclose(cov, want_cov, rtol=1e-9)
-
-    def test_shrinks_to_zero_as_variance_vanishes(self, toy_problem):
-        z, d, x, psi, k_inv = toy_problem
-        beta = np.zeros(x.shape[1])
-        mean, _ = conditional_eta(z, d, x, psi, beta, k_inv, 1e-10)
-        assert np.max(np.abs(mean)) < 1e-6
+def area_level_inputs():
+    """(study, x, basis) of a 4 x 4 grid, 3 cells per area, with the basis
+    built from the area adjacency (L = 3)."""
+    study = two_field_study(4, 4, 3, seed=2)
+    x, _ = build_design(study.truth, study.population)
+    basis = build_basis(x, build_adjacency(study.areas, study.edges))
+    return study, x, basis
 
 
 class TestConditionalSigma2Eta:
     def test_shape_and_scale(self):
         eta = np.array([1.0, 2.0])
         k_inv = np.array([[2.0, 0.0], [0.0, 0.5]])
-        shape, scale = conditional_sigma2_eta(eta, k_inv, a_eta=0.1, b_eta=0.1)
+        quad = float(eta @ k_inv @ eta)
+        shape, scale = msm._inverse_gamma_conditional(0.1, 0.1, eta.size, quad)
         assert shape == pytest.approx(0.1 + 1.0)
         # eta' K^{-1} eta = 2 + 2 = 4
         assert scale == pytest.approx(0.1 + 2.0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            conditional_sigma2_eta(np.ones(3), np.eye(2), 0.1, 0.1)
-
-    def test_bad_hyperparameters(self):
-        with pytest.raises(DomainError):
-            conditional_sigma2_eta(np.ones(2), np.eye(2), 0.0, 0.1)
 
 
 class TestDrawInverseGamma:
@@ -151,11 +87,14 @@ class TestFitMsm:
         assert fit.seed == 1
 
     def test_y_consistent_with_draws(self, small_inputs):
+        # on an entry-level basis and on an area-level one (L = 3), whose
+        # Psi eta is formed on the area rows
         study, x, _, basis = small_inputs
-        cfg = MsmConfig(iterations=30, burn_in=10, seed=4)
-        fit = fit_msm(study.truth.z, study.truth.d, x, basis, cfg)
-        rebuilt = fit.beta @ x.T + fit.eta @ basis.psi.T
-        assert np.allclose(fit.y, rebuilt, rtol=1e-12)
+        for study, x, basis in ((study, x, basis), area_level_inputs()):
+            cfg = MsmConfig(iterations=30, burn_in=10, seed=4)
+            fit = fit_msm(study.truth.z, study.truth.d, x, basis, cfg)
+            rebuilt = fit.beta @ x.T + fit.eta @ basis.psi.T
+            assert np.allclose(fit.y, rebuilt, rtol=1e-12)
 
     def test_deterministic_in_seed(self, small_inputs):
         study, x, _, basis = small_inputs
@@ -225,34 +164,36 @@ class TestSharedAtomKernel:
     posterior; ``cluster_posterior`` (the mixture's Cholesky path) is its
     oracle."""
 
-    @staticmethod
-    def area_level_inputs():
-        # 4 x 4 grid, 3 cells per area, basis from the area adjacency (L = 3)
-        study = two_field_study(4, 4, 3, seed=2)
-        x, _ = build_design(study.truth, study.population)
-        basis = build_basis(x, build_adjacency(study.areas, study.edges))
-        return study, x, basis
-
-    def test_data_precision_sums_every_row_in_blocks(self, small_inputs, monkeypatch):
-        study, x, _, basis = small_inputs
-        z, d = study.truth.z, study.truth.d
-        stats = msm._ClusterStats(slice(None), z, d, np.hstack([x, basis.psi]))
-        for rows in (5, 18, 4096):
-            monkeypatch.setattr(msm, "_GRAM_ROWS", rows)
-            f, g = msm._data_precision(z, d, x, basis.psi)
-            assert np.allclose(f, stats.f, rtol=1e-12, atol=1e-12 * np.abs(stats.f).max())
-            assert np.allclose(g, stats.g, rtol=1e-12, atol=1e-12 * np.abs(stats.g).max())
+    @pytest.mark.parametrize("cells", [1, 2, 3])
+    def test_data_precision_sums_per_area(self, cells):
+        # F and g summed per area against the row sums of _ClusterStats, with
+        # variances that differ within each area
+        rng = np.random.default_rng(40 + cells)
+        m, p, r = 7, 3, 4
+        n = m * cells
+        area, _ = np.linalg.qr(rng.normal(size=(m, r)))
+        basis = MoranBasis(
+            psi=np.repeat(area / np.sqrt(cells), cells, axis=0), eigenvalues=np.ones(r),
+            k_inv=np.eye(r), k=np.eye(r), n_positive=r, tolerance=1e-10, cells=cells,
+        )
+        x = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
+        z = rng.normal(size=n)
+        d = rng.uniform(0.05, 2.0, size=n)
+        f, g = msm._data_precision(z, d, x, basis)
+        rows = msm._ClusterStats(slice(None), z, d, np.hstack([x, basis.psi]))
+        assert np.linalg.norm(f - rows.f) <= 1e-12 * np.linalg.norm(rows.f)
+        assert np.linalg.norm(g - rows.g) <= 1e-12 * np.linalg.norm(rows.g)
 
     @pytest.mark.parametrize("level", ["entry", "area"])
     def test_decomposition_matches_cluster_posterior(self, small_inputs, level):
         if level == "entry":
             study, x, _, basis = small_inputs
         else:
-            study, x, basis = self.area_level_inputs()
+            study, x, basis = area_level_inputs()
             assert basis.cells == 3 and basis.r > 1
         z, d = study.truth.z, study.truth.d
         p = x.shape[1]
-        f, g = msm._data_precision(z, d, x, basis.psi)
+        f, g = msm._data_precision(z, d, x, basis)
         mu, v, t = msm._diagonalise(f, g, BaseMeasure.from_basis(basis, p, 10.0, 1.0))
         assert np.all((mu >= 0.0) & (mu <= 1.0))
         u = np.hstack([x, basis.psi])

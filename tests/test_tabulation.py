@@ -231,15 +231,6 @@ class TestGvfImpute:
         with pytest.raises(InsufficientDataError):
             gvf_impute(log_table)
 
-    def test_explicit_predictor(self):
-        log_table = _table_with_variances(15, 4, lambda u: 1.5 - 0.1 * u)
-        predictor = np.arange(log_table.n_rows, dtype=float)
-        filled = gvf_impute(log_table, predictor=predictor, span=0.9)
-        defined = np.isfinite(log_table.d)
-        oracle = loess_fit(predictor[defined], log_table.d[defined], span=0.9)
-        expected = np.maximum(oracle(predictor[~defined]), IMPUTATION_FLOOR)
-        assert np.allclose(filled.d[~defined], expected, rtol=1e-12)
-
 
 class TestBackTransform:
     def test_two_draw_example(self):
