@@ -15,9 +15,9 @@ small-area predictions:
 
 Submodules group the pieces: ``tabulation`` (ingest and transforms),
 ``spatial`` (adjacency), ``basis`` (spatial basis), ``msm`` / ``mixture``
-/ ``fh`` (samplers), ``models`` (the model table), ``diagnostics``,
-``simulate`` (perturbation studies), ``synthetic`` (toy truths), and
-``cli``.
+/ ``fh`` (samplers; ``mixture`` also holds the Dirichlet-process prior
+helpers), ``models`` (the model table), ``diagnostics``, ``simulate``
+(perturbation studies), ``synthetic`` (toy truths), and ``cli``.
 """
 
 from .basis import (
@@ -59,9 +59,7 @@ from .mixture import (
     BaseMeasure,
     MixtureConfig,
     MixturePosterior,
-    MixtureState,
     cluster_posterior,
-    crp_assignment_probs,
     crp_simulate,
     fit_msmm_dp,
     fit_msmm_truncated,

@@ -22,8 +22,10 @@ sticks.
   Griffin and Walker 2011).  Each sweep first draws a slice per row,
   which admits finitely many components, and holds just those.
 
-``crp_assignment_probs`` gives the collapsed assignment probabilities
-(atoms integrated out), checked against brute-force enumeration.
+Beside the two samplers and their steps, the module holds the public
+prior-law helpers: ``cluster_posterior``, ``stick_break``,
+``prior_expected_clusters``, ``crp_simulate`` and
+``canonicalize_labels``.
 """
 
 from __future__ import annotations
@@ -53,75 +55,6 @@ from .msm import (
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-@dataclass
-class MixtureState:
-    """A partition and the concentration it is weighed under.
-
-    ``assignments[i] == -1`` marks an observation currently held out of
-    every cluster (used while its label is being resampled).
-    """
-
-    assignments: np.ndarray
-    alpha: float = 1.0
-
-
-def _check_rows(z, d, u, base: BaseMeasure):
-    z, d, u, _ = _check_data(z, d, u)
-    if u.shape[1] != base.dim:
-        raise ShapeError("u must be (n, p + r)")
-    return z, d, u
-
-
-def _cluster_blocks(
-    clusters: list[_ClusterStats], base: BaseMeasure, alpha: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Weights (K + 1,) and stacked blocks (K + 1, q + 1, q) of the assignment candidates.
-
-    Block c < K holds cluster c's atom posterior, S_c = (prec0 + F_c)^{-1}
-    in its first q rows and m_c' = (S_c g_c)' in its last, so one product
-    with u_i gives both S_c u_i and m_c' u_i; its weight is n_c.  All K
-    inverses are one batched call.  The last block is a new cluster's: a
-    cluster with no members, whose posterior is the base measure
-    [Sigma0; 0'], weighed alpha.
-    """
-    q = base.dim
-    k = len(clusters)
-    prec0 = base.prior_precision()
-    prec = np.empty((k, q, q))
-    lin = np.empty((k, q))
-    for pos, st in enumerate(clusters):
-        np.add(prec0, st.f, out=prec[pos])
-        lin[pos] = st.g
-    blocks = np.zeros((k + 1, q + 1, q))
-    blocks[:k, :q] = np.linalg.inv(prec)
-    blocks[:k, q] = np.einsum("cjk,ck->cj", blocks[:k, :q], lin)
-    blocks[k, :q] = base.prior_covariance()
-    weights = np.array([st.count for st in clusters] + [alpha], dtype=float)
-    return weights, blocks
-
-
-def _assignment_logw(u_i, z_i, d_i, weights, blocks):
-    """Log-weights of a held-out observation, one per candidate cluster.
-
-    Candidate c, with weight w_c and atom posterior N(m_c, S_c) held in
-    ``blocks[c]`` (see ``_cluster_blocks``), weighs
-    log w_c + log N(z_i; u_i' m_c, u_i' S_c u_i + d_i).  Also returns
-    ``su = blocks @ u_i`` and the predictive variances, which the step
-    that adds row i reuses.
-    """
-    su = blocks @ u_i
-    var = su[:, :-1] @ u_i + d_i
-    resid = z_i - su[:, -1]
-    logw = np.log(weights) - 0.5 * (_LOG_2PI + np.log(var) + resid * resid / var)
-    return logw, su, var
-
-
-def _normalise(logw: np.ndarray) -> np.ndarray:
-    probs = np.exp(logw - logw.max())
-    probs /= probs.sum()
-    return probs
-
-
 def cluster_posterior(
     members: np.ndarray, z, d, u, base: BaseMeasure
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -133,46 +66,13 @@ def cluster_posterior(
     returns the base measure itself: (0, Sigma0).
     """
     members = np.asarray(members, dtype=int).ravel()
-    z, d, u = _check_rows(z, d, u, base)
+    z, d, u, _ = _check_data(z, d, u)
+    if u.shape[1] != base.dim:
+        raise ShapeError("u must be (n, p + r)")
     if members.size == 0:
         return np.zeros(base.dim), base.prior_covariance()
     chol, mean = _ClusterStats(members, z, d, u).posterior(base.prior_precision())
     return mean, _cov_from_chol(chol)
-
-
-def crp_assignment_probs(
-    i: int, state: MixtureState, z, d, u, base: BaseMeasure
-) -> tuple[list[int], np.ndarray]:
-    """Assignment probabilities for observation i with atoms integrated out.
-
-    Requires observation i to be held out (``state.assignments[i] == -1``).
-    For each existing cluster c the weight is
-
-        n_c * N(z_i; u_i' m_c, u_i' S_c u_i + d_i)
-
-    where (m_c, S_c) is the atom posterior from the remaining members.
-    A fresh cluster is the same formula for a cluster with no members,
-    whose posterior is the base measure (0, Sigma0):
-
-        alpha * N(z_i; 0, u_i' Sigma0 u_i + d_i).
-
-    The weights of all candidates come from one batched kernel over
-    ``_cluster_blocks``.  Returns the sorted existing labels and a
-    probability vector whose final entry is the new-cluster probability.
-    """
-    z, d, u = _check_rows(z, d, u, base)
-    assign = state.assignments
-    if not (0 <= i < assign.size):
-        raise DomainError(f"observation index {i} out of range")
-    if assign[i] != -1:
-        raise DomainError("observation must be removed from its cluster first")
-    if not (math.isfinite(state.alpha) and state.alpha > 0):
-        raise DomainError("alpha must be finite and positive")
-    labels = [int(l) for l in np.unique(assign[assign >= 0])]
-    clusters = [_ClusterStats(np.flatnonzero(assign == label), z, d, u) for label in labels]
-    weights, blocks = _cluster_blocks(clusters, base, state.alpha)
-    logw, _, _ = _assignment_logw(u[i], z[i], d[i], weights, blocks)
-    return labels, _normalise(logw)
 
 
 def stick_break(v) -> np.ndarray:
@@ -372,11 +272,14 @@ def _draw_alpha(rng, sticks: np.ndarray, alpha: float, config: MixtureConfig) ->
 
 
 def _record(draws: DrawRecorder, t: int, u, theta, c, alpha, sigma2_eta, k_occ) -> None:
-    """Check the sweep's draws for divergence and keep them if ``t`` is retained."""
-    y = np.einsum("ij,ij->i", u, theta[c])
-    if not (np.isfinite(alpha) and np.isfinite(sigma2_eta) and np.all(np.isfinite(y))):
+    """Check the sweep's alpha and sigma2_eta for divergence (``_draw_atoms``
+    checks theta); on a retained sweep, form y, check it and keep the draws."""
+    if not (np.isfinite(alpha) and np.isfinite(sigma2_eta)):
         raise DivergenceError("non-finite draw", iteration=t)
     if draws.wants(t):
+        y = np.einsum("ij,ij->i", u, theta[c])
+        if not np.all(np.isfinite(y)):
+            raise DivergenceError("non-finite draw", iteration=t)
         draws.record(
             y=y,
             alpha=alpha,
@@ -471,8 +374,8 @@ def fit_msmm_dp(
         base = BaseMeasure.from_basis(basis, p, config.sigma2_beta, sigma2_eta)
         pi = np.exp(_log_weights(sticks))  # the K weights, then the mass past them
         s = pi[c] * rng.random(z.size)
-        rest = pi[-1]
-        while rest >= s.min():
+        rest, s_min = pi[-1], s.min()
+        while rest >= s_min:
             added = _beta_logs(rng, [1.0], alpha)
             rest *= math.exp(added[1, 0])
             sticks = np.hstack([sticks, added])

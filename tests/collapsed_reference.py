@@ -3,10 +3,13 @@
 ``fit_collapsed`` integrates the atoms out of the assignment step and
 moves one row at a time, so it shares no sweep code with the blocked
 samplers in ``areamix.mixture``: agreement between it and the slice
-sampler checks both.  It weighs each row's candidates with
-``mixture._assignment_logw`` over ``mixture._cluster_blocks``, the kernel
-``crp_assignment_probs`` runs and the brute-force oracles check, looked
-up on the module at call time so tests can watch the calls.
+sampler checks both.  Its one-row kernel lives here too:
+``_cluster_blocks`` stacks every cluster's atom posterior and the empty
+cluster's, and ``_assignment_logw`` weighs a held-out row against them.
+``crp_assignment_probs`` runs the same kernel, so the brute-force
+oracles that check it check the kernel ``fit_collapsed`` runs.  The
+sampler looks the kernel up on this module at call time so tests can
+watch the calls.
 """
 
 from __future__ import annotations
@@ -15,18 +18,105 @@ import math
 
 import numpy as np
 
-from areamix import mixture
-from areamix.errors import DivergenceError, DomainError
+from areamix.errors import DivergenceError, DomainError, ShapeError
 from areamix.mixture import (
     BaseMeasure,
     MixtureConfig,
     MixturePosterior,
     _ClusterStats,
     _draw_atoms,
-    _normalise,
     canonicalize_labels,
 )
 from areamix.msm import DrawRecorder, _check_data
+
+_LOG_2PI = math.log(2.0 * math.pi)
+
+
+def _cluster_blocks(
+    clusters: list[_ClusterStats], base: BaseMeasure, alpha: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (K + 1,) and stacked blocks (K + 1, q + 1, q) of the assignment candidates.
+
+    Block c < K holds cluster c's atom posterior, S_c = (prec0 + F_c)^{-1}
+    in its first q rows and m_c' = (S_c g_c)' in its last, so one product
+    with u_i gives both S_c u_i and m_c' u_i; its weight is n_c.  All K
+    inverses are one batched call.  The last block is a new cluster's: a
+    cluster with no members, whose posterior is the base measure
+    [Sigma0; 0'], weighed alpha.
+    """
+    q = base.dim
+    k = len(clusters)
+    prec0 = base.prior_precision()
+    prec = np.empty((k, q, q))
+    lin = np.empty((k, q))
+    for pos, st in enumerate(clusters):
+        np.add(prec0, st.f, out=prec[pos])
+        lin[pos] = st.g
+    blocks = np.zeros((k + 1, q + 1, q))
+    blocks[:k, :q] = np.linalg.inv(prec)
+    blocks[:k, q] = np.einsum("cjk,ck->cj", blocks[:k, :q], lin)
+    blocks[k, :q] = base.prior_covariance()
+    weights = np.array([st.count for st in clusters] + [alpha], dtype=float)
+    return weights, blocks
+
+
+def _assignment_logw(u_i, z_i, d_i, weights, blocks):
+    """Log-weights of a held-out observation, one per candidate cluster.
+
+    Candidate c, with weight w_c and atom posterior N(m_c, S_c) held in
+    ``blocks[c]`` (see ``_cluster_blocks``), weighs
+    log w_c + log N(z_i; u_i' m_c, u_i' S_c u_i + d_i).  Also returns
+    ``su = blocks @ u_i`` and the predictive variances, which the step
+    that adds row i reuses.
+    """
+    su = blocks @ u_i
+    var = su[:, :-1] @ u_i + d_i
+    resid = z_i - su[:, -1]
+    logw = np.log(weights) - 0.5 * (_LOG_2PI + np.log(var) + resid * resid / var)
+    return logw, su, var
+
+
+def _normalise(logw: np.ndarray) -> np.ndarray:
+    probs = np.exp(logw - logw.max())
+    probs /= probs.sum()
+    return probs
+
+
+def crp_assignment_probs(
+    i: int, assignments: np.ndarray, alpha: float, z, d, u, base: BaseMeasure
+) -> tuple[list[int], np.ndarray]:
+    """Assignment probabilities for observation i with atoms integrated out.
+
+    ``assignments`` labels each row's cluster, and observation i must be
+    held out of every cluster (``assignments[i] == -1``).  For each
+    existing cluster c the weight is
+
+        n_c * N(z_i; u_i' m_c, u_i' S_c u_i + d_i)
+
+    where (m_c, S_c) is the atom posterior from the remaining members.
+    A fresh cluster is the same formula for a cluster with no members,
+    whose posterior is the base measure (0, Sigma0):
+
+        alpha * N(z_i; 0, u_i' Sigma0 u_i + d_i).
+
+    The weights of all candidates come from one batched kernel over
+    ``_cluster_blocks``.  Returns the sorted existing labels and a
+    probability vector whose final entry is the new-cluster probability.
+    """
+    z, d, u, _ = _check_data(z, d, u)
+    if u.shape[1] != base.dim:
+        raise ShapeError("u must be (n, p + r)")
+    if not (0 <= i < assignments.size):
+        raise DomainError(f"observation index {i} out of range")
+    if assignments[i] != -1:
+        raise DomainError("observation must be removed from its cluster first")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise DomainError("alpha must be finite and positive")
+    labels = [int(l) for l in np.unique(assignments[assignments >= 0])]
+    clusters = [_ClusterStats(np.flatnonzero(assignments == label), z, d, u) for label in labels]
+    weights, blocks = _cluster_blocks(clusters, base, alpha)
+    logw, _, _ = _assignment_logw(u[i], z[i], d[i], weights, blocks)
+    return labels, _normalise(logw)
 
 
 def shift_row(block: np.ndarray, su: np.ndarray, z_i: float, c: float) -> None:
@@ -97,7 +187,7 @@ def fit_collapsed(z, d, x, basis, config: MixtureConfig | None = None) -> Mixtur
     draws = DrawRecorder(config)
     for t in range(config.iterations):
         base = BaseMeasure.from_basis(basis, p, config.sigma2_beta, sigma2_eta)
-        weights, blocks = mixture._cluster_blocks(stats, base, alpha)
+        weights, blocks = _cluster_blocks(stats, base, alpha)
         empty = blocks[-1:].copy()
 
         for i in range(n):
@@ -116,7 +206,7 @@ def fit_collapsed(z, d, x, basis, config: MixtureConfig | None = None) -> Mixtur
                 shift_row(blocks[old], su, z_i, d_i - su[:-1] @ u_i)
 
             k = weights.size - 1  # candidate k is the empty cluster
-            logw, su, var = mixture._assignment_logw(u_i, z_i, d_i, weights, blocks)
+            logw, su, var = _assignment_logw(u_i, z_i, d_i, weights, blocks)
             pick = int(_normalise(logw).cumsum().searchsorted(rng.random()))
             pick = min(pick, k)
             shift_row(blocks[pick], su[pick], z_i, -var[pick])

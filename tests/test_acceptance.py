@@ -42,10 +42,10 @@ from areamix import (
     run_study,
 )
 from areamix.cli import main
-from areamix.mixture import MixtureState, crp_assignment_probs
 from areamix.synthetic import grid_graph, two_field_study
 from areamix.tabulation import LogTable, back_transform
 
+from collapsed_reference import crp_assignment_probs
 from conftest import random_connected_adjacency
 from test_loess import wls_oracle
 from test_msm import joint_gaussian_condition
@@ -282,8 +282,7 @@ def test_05_assignment_probability_oracle():
                 assign = np.full(n, -1, dtype=int)
                 for label, members in enumerate(parts):
                     assign[members] = label
-                state = MixtureState(assignments=assign, alpha=alpha)
-                labels, probs = crp_assignment_probs(held_out, state, z, d, u, base)
+                labels, probs = crp_assignment_probs(held_out, assign, alpha, z, d, u, base)
                 assert labels == list(range(len(parts)))
                 brute = _brute_force_probs(held_out, parts, z, d, u, alpha, base)
                 max_diff = max(max_diff, float(np.max(np.abs(probs - brute))))

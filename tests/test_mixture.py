@@ -5,21 +5,19 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 from scipy.linalg import solve_triangular
-from scipy.special import betaln, gammaln
+from scipy.special import betaln, gammaln, logsumexp
 
 from areamix import (
     BaseMeasure,
     DivergenceError,
     DomainError,
     MixtureConfig,
-    MixtureState,
     MoranBasis,
     MsmConfig,
     build_adjacency,
     build_basis,
     build_design,
     cluster_posterior,
-    crp_assignment_probs,
     crp_simulate,
     expand_multivariate,
     fit_msm,
@@ -33,7 +31,13 @@ from areamix.diagnostics import batch_means_se
 from areamix.mixture import canonicalize_labels
 from areamix.synthetic import two_field_study
 
-from collapsed_reference import fit_collapsed, shift_row, update_alpha_escobar_west
+import collapsed_reference
+from collapsed_reference import (
+    crp_assignment_probs,
+    fit_collapsed,
+    shift_row,
+    update_alpha_escobar_west,
+)
 from test_msm import joint_gaussian_condition
 
 
@@ -118,8 +122,7 @@ class TestCrpAssignmentProbs:
     def test_matches_marginal_likelihood_ratios(self, base_measure, cluster_data):
         z, d, u = cluster_data
         assignments = np.array([0, 0, 1, 1, 1, 2, -1])
-        state = MixtureState(assignments=assignments.copy(), alpha=0.7)
-        labels, probs = crp_assignment_probs(6, state, z, d, u, base_measure)
+        labels, probs = crp_assignment_probs(6, assignments.copy(), 0.7, z, d, u, base_measure)
         assert labels == [0, 1, 2]
         assert probs.shape == (4,)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -138,24 +141,20 @@ class TestCrpAssignmentProbs:
 
     def test_requires_held_out_observation(self, base_measure, cluster_data):
         z, d, u = cluster_data
-        state = MixtureState(assignments=np.zeros(7, dtype=int))
         with pytest.raises(DomainError):
-            crp_assignment_probs(3, state, z, d, u, base_measure)
+            crp_assignment_probs(3, np.zeros(7, dtype=int), 1.0, z, d, u, base_measure)
 
     def test_index_out_of_range(self, base_measure, cluster_data):
         z, d, u = cluster_data
-        state = MixtureState(assignments=np.full(7, -1))
         with pytest.raises(DomainError):
-            crp_assignment_probs(99, state, z, d, u, base_measure)
+            crp_assignment_probs(99, np.full(7, -1), 1.0, z, d, u, base_measure)
 
     def test_invariant_to_relabelling(self, base_measure, cluster_data):
         z, d, u = cluster_data
         a1 = np.array([0, 0, 1, 1, 1, 2, -1])
         a2 = np.array([7, 7, 3, 3, 3, 11, -1])  # same partition, new names
-        s1 = MixtureState(assignments=a1, alpha=1.3)
-        s2 = MixtureState(assignments=a2, alpha=1.3)
-        _, p1 = crp_assignment_probs(6, s1, z, d, u, base_measure)
-        labels2, p2 = crp_assignment_probs(6, s2, z, d, u, base_measure)
+        _, p1 = crp_assignment_probs(6, a1, 1.3, z, d, u, base_measure)
+        labels2, p2 = crp_assignment_probs(6, a2, 1.3, z, d, u, base_measure)
         # sorted labels [3, 7, 11] map to partition blocks {2,3,4}, {0,1}, {5}
         assert labels2 == [3, 7, 11]
         assert p2[0] == pytest.approx(p1[1], rel=1e-12)
@@ -168,9 +167,9 @@ class TestAlphaValidation:
     @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
     def test_alpha_must_be_finite_and_positive(self, base_measure, cluster_data, alpha):
         z, d, u = cluster_data
-        state = MixtureState(assignments=np.array([0, 0, 1, 1, 1, 2, -1]), alpha=alpha)
+        assignments = np.array([0, 0, 1, 1, 1, 2, -1])
         with pytest.raises(DomainError, match="alpha"):
-            crp_assignment_probs(6, state, z, d, u, base_measure)
+            crp_assignment_probs(6, assignments, alpha, z, d, u, base_measure)
 
 
 class TestOneAssignmentKernel:
@@ -179,19 +178,18 @@ class TestOneAssignmentKernel:
     @pytest.fixture
     def kernel_calls(self, monkeypatch) -> list:
         calls: list = []
-        real = mixture._assignment_logw
+        real = collapsed_reference._assignment_logw
 
         def spy(*args, **kwargs):
             calls.append(len(args[3]) - 1)  # the clusters weighed against the empty one
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(mixture, "_assignment_logw", spy)
+        monkeypatch.setattr(collapsed_reference, "_assignment_logw", spy)
         return calls
 
     def test_crp_assignment_probs_calls_kernel(self, base_measure, cluster_data, kernel_calls):
         z, d, u = cluster_data
-        state = MixtureState(assignments=np.array([0, 0, 1, 1, 1, 2, -1]))
-        crp_assignment_probs(6, state, z, d, u, base_measure)
+        crp_assignment_probs(6, np.array([0, 0, 1, 1, 1, 2, -1]), 1.0, z, d, u, base_measure)
         assert kernel_calls == [3]
 
     def test_collapsed_sampler_calls_kernel(self, small_inputs, kernel_calls):
@@ -206,13 +204,13 @@ class TestOneAssignmentKernel:
         study, x, _, basis = small_inputs
         p = x.shape[1]
         last: list = []
-        real = mixture._assignment_logw
+        real = collapsed_reference._assignment_logw
 
         def spy(u_i, z_i, d_i, weights, blocks):
             last.append((weights[-1], blocks[-1].copy()))
             return real(u_i, z_i, d_i, weights, blocks)
 
-        monkeypatch.setattr(mixture, "_assignment_logw", spy)
+        monkeypatch.setattr(collapsed_reference, "_assignment_logw", spy)
         cfg = MixtureConfig(iterations=20, burn_in=1, seed=4, alpha_fixed=0.8)
         fit = fit_collapsed(study.truth.z, study.truth.d, x, basis, cfg)
         assert len(last) == 20 * study.truth.n_rows
@@ -234,7 +232,8 @@ def cholesky_assignment_logw(u_i, z_i, d_i, clusters, base, log_alpha):
     ``clusters`` holds (count, F, g) per cluster; a new cluster is weighed
     by its closed form, u_i' Sigma0 u_i = sigma2_beta |x_i|^2 +
     sigma2_eta psi_i' K psi_i.  This is the reference for the batched
-    kernel ``mixture._assignment_logw`` over ``mixture._cluster_blocks``.
+    kernel ``_assignment_logw`` over ``_cluster_blocks`` in the collapsed
+    reference.
     """
     prec0 = base.prior_precision()
     x_i, psi_i = u_i[: base.p], u_i[base.p :]
@@ -306,8 +305,8 @@ class TestBatchedKernel:
                 [member_sums(members, z, d, u) for members in partition], base, math.log(alpha),
             )
             stats = [mixture._ClusterStats(np.array(m), z, d, u) for m in partition]
-            weights, blocks = mixture._cluster_blocks(stats, base, alpha)
-            got, _, _ = mixture._assignment_logw(
+            weights, blocks = collapsed_reference._cluster_blocks(stats, base, alpha)
+            got, _, _ = collapsed_reference._assignment_logw(
                 u[held_out], z[held_out], d[held_out], weights, blocks
             )
             assert got.shape == want.shape
@@ -326,7 +325,7 @@ class TestBatchedKernel:
         prec0 = base.prior_precision()
         labels = np.arange(n) % k
         stats = [mixture._ClusterStats(np.flatnonzero(labels == c), z, d, u) for c in range(k)]
-        weights, blocks = mixture._cluster_blocks(stats, base, 1.0)
+        weights, blocks = collapsed_reference._cluster_blocks(stats, base, 1.0)
         counts = weights[:-1]  # a view: the moves below update the weights
         for _ in range(20000):
             i = int(rng.integers(n))
@@ -347,6 +346,111 @@ class TestBatchedKernel:
         # the empty cluster's block is the base measure and was never moved
         assert np.array_equal(blocks[-1, :-1], base.prior_covariance())
         assert np.array_equal(blocks[-1, -1], np.zeros(p + r))
+
+
+TILES = 40000  # copies of each row drawn by one _assign call
+
+
+@pytest.fixture(scope="module")
+def assign_inputs():
+    """(z, d, u, theta) of n = 3 rows and M = 4 components, with each row's
+    components close enough to z_i that every pick is plausible."""
+    rng = np.random.default_rng(81)
+    u = rng.normal(size=(3, 3))
+    theta = rng.normal(scale=0.4, size=(4, 3))
+    z = u @ theta[0] + rng.normal(scale=0.3, size=3)
+    d = rng.uniform(0.3, 0.8, size=3)
+    return z, d, u, theta
+
+
+def run_assign(seed, z, d, u, theta, log_prior):
+    """Picks (TILES, n) of one ``_assign`` call over the rows tiled TILES times."""
+    zt, dt = np.tile(z, TILES), np.tile(d, TILES)
+    log_d_term = -0.5 * (math.log(2.0 * math.pi) + np.log(dt))
+    c = mixture._assign(
+        np.random.default_rng(seed), zt, dt, np.tile(u, (TILES, 1)), theta, log_prior, log_d_term
+    )
+    return c.reshape(TILES, z.size)
+
+
+def pick_probs(z, d, u, theta, log_prior):
+    """(n, M) probabilities exp(log_prior + log N(z_i; u_i' theta_m, d_i)), normalised per row."""
+    logw = log_prior + stats.norm.logpdf(z[:, None], loc=u @ theta.T, scale=np.sqrt(d)[:, None])
+    return np.exp(logw - logsumexp(logw, axis=1, keepdims=True))
+
+
+class TestAssign:
+    """The assignment step both samplers run, against its categorical law."""
+
+    def check_frequencies(self, picks, want):
+        freq = np.stack([np.mean(picks == m, axis=0) for m in range(want.shape[1])], axis=1)
+        # the tiles are independent draws: MCSE = sqrt(p (1 - p) / TILES)
+        mcse = np.sqrt(want * (1.0 - want) / TILES)
+        admitted = want > 0
+        assert np.all(freq[~admitted] == 0.0)
+        assert np.all(np.abs(freq - want)[admitted] < 4.0 * mcse[admitted])
+
+    def test_truncated_prior_frequencies(self, assign_inputs):
+        z, d, u, theta = assign_inputs
+        log_prior = np.log(stick_break([0.4, 0.3, 0.5]))
+        want = pick_probs(z, d, u, theta, log_prior)
+        assert want.min() > 0.01  # every entry of the law is tested
+        picks = run_assign(82, z, d, u, theta, log_prior)
+        self.check_frequencies(picks, want)
+
+    def test_slice_mask_frequencies(self, assign_inputs):
+        z, d, u, theta = assign_inputs
+        mask = np.array([[0.0, -np.inf, 0.0, 0.0], [-np.inf, 0.0, -np.inf, 0.0], [0.0] * 4])
+        want = pick_probs(z, d, u, theta, mask)
+        picks = run_assign(83, z, d, u, theta, np.tile(mask, (TILES, 1)))
+        self.check_frequencies(picks, want)
+
+    def test_slice_mask_never_picks_masked(self, assign_inputs):
+        z, d, u, theta = assign_inputs
+        rng = np.random.default_rng(84)
+        rows, m_comp = TILES * z.size, theta.shape[0]
+        admitted = rng.random((rows, m_comp)) < 0.4
+        admitted[np.arange(rows), rng.integers(m_comp, size=rows)] = True  # each row admits one
+        picks = run_assign(85, z, d, u, theta, np.where(admitted, 0.0, -np.inf)).ravel()
+        assert np.all(admitted[np.arange(rows), picks])
+
+    @pytest.mark.parametrize("fit", [fit_msmm_truncated, fit_msmm_dp], ids=["truncated", "dp"])
+    def test_called_once_per_sweep(self, small_inputs, monkeypatch, fit):
+        study, x, _, basis = small_inputs
+        events: list = []
+        real_assign, real_atoms = mixture._assign, mixture._draw_atoms
+
+        def assign_spy(*args):
+            events.append("assign")
+            return real_assign(*args)
+
+        def atoms_spy(rng, stats, base, chol_k, config, t):
+            events.append(t)
+            return real_atoms(rng, stats, base, chol_k, config, t)
+
+        monkeypatch.setattr(mixture, "_assign", assign_spy)
+        monkeypatch.setattr(mixture, "_draw_atoms", atoms_spy)
+        fit(study.truth.z, study.truth.d, x, basis, MixtureConfig(iterations=12, burn_in=2, seed=6))
+        assert events == [e for t in range(12) for e in ("assign", t)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("fit", [fit_msmm_truncated, fit_msmm_dp], ids=["truncated", "dp"])
+def test_y_checked_on_retained_sweeps(small_inputs, monkeypatch, fit):
+    # finite atoms whose u theta overflows: only the first retained sweep
+    # forms y, so that is where the divergence is caught
+    study, x, _, basis = small_inputs
+    real = mixture._draw_atoms
+
+    def huge_atoms(*args):
+        theta, occupied, sigma2_eta = real(*args)
+        return np.full_like(theta, 1e308), occupied, sigma2_eta
+
+    monkeypatch.setattr(mixture, "_draw_atoms", huge_atoms)
+    cfg = MixtureConfig(iterations=10, burn_in=4, seed=1)
+    with pytest.raises(DivergenceError) as caught:
+        fit(study.truth.z, study.truth.d, x, basis, cfg)
+    assert caught.value.iteration == cfg.burn_in
 
 
 def ew_chain(k, n, a, b, steps, seed, alpha0=1.0):
