@@ -302,6 +302,9 @@ def cmd_basis(config: dict, out_dir: Path) -> list[str]:
     config = dict(config, basis_cache=cache_dir)
     basis, key, from_cache = _get_basis(config, x, w)
     cache_file = cache_path(cache_dir, key)
+    area = basis.area_psi
+    # Psi'X from the area rows and each area's sum of x rows: no n x r product
+    psi_x = area.T @ x.reshape(area.shape[0], basis.cells, -1).sum(axis=1)
     report = {
         "n": basis.n,
         "r": basis.r,
@@ -309,7 +312,7 @@ def cmd_basis(config: dict, out_dir: Path) -> list[str]:
         "tolerance": basis.tolerance,
         "design_columns": names,
         "eigenvalues": [float(v) for v in basis.eigenvalues],
-        "psi_x_max_abs": float(np.max(np.abs(basis.psi.T @ x))),
+        "psi_x_max_abs": float(np.max(np.abs(psi_x))),
         "k_inv_min_eigenvalue": float(np.linalg.eigvalsh(basis.k_inv).min()),
         "cache_file": cache_file.name,
         "cache_sha256": sha256_file(cache_file),

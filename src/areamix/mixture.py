@@ -8,7 +8,10 @@ Each observation i carries theta_i = (beta_i, eta_i) in R^{p+r} with
 
 G0 is the msm prior of (beta, eta) (``msm.BaseMeasure``), and a
 cluster's atom posterior is msm's coefficient posterior over the
-cluster's rows (``msm._ClusterStats``): msm is the one-cluster case.
+cluster's rows: msm is the one-cluster case.  Both sum that posterior's
+data precision per (area, component) with ``msm._component_sums``;
+``msm._ClusterStats``, its sum over rows, is the kernel of
+``cluster_posterior`` and the test oracle.
 
 Ties among the theta_i induce clusters of observations that share one
 regression surface and one spatial field.  Both samplers run one blocked
@@ -37,6 +40,7 @@ from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .basis import MoranBasis
 from .errors import DivergenceError, DomainError, ShapeError
@@ -45,14 +49,14 @@ from .msm import (
     ChainConfig,
     DrawRecorder,
     _check_data,
+    _cholesky,
     _ClusterStats,
+    _component_sums,
     _cov_from_chol,
     _inverse_gamma_conditional,
-    _posterior_draw,
+    _Rows,
     draw_inverse_gamma,
 )
-
-_LOG_2PI = math.log(2.0 * math.pi)
 
 
 def cluster_posterior(
@@ -190,12 +194,25 @@ class MixturePosterior:
         return self.y.shape[0]
 
 
+def _atom_draw(rng, prec0: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """One atom from its posterior N(P^{-1} g, P^{-1}), P = prec0 + F.
+
+    With P = C C', the draw is C'^{-1}(C^{-1} g + e), e standard normal:
+    the mean C'^{-T}C^{-1} g plus C'^{-1} e in one back-substitution.
+    Raises DefinitenessError when P has no Cholesky factor.
+    """
+    chol = _cholesky(prec0 + f, "atom posterior precision")
+    half = solve_triangular(chol, g, lower=True, check_finite=False)
+    half += rng.standard_normal(g.size)
+    return solve_triangular(chol.T, half, lower=False, check_finite=False)
+
+
 def _draw_atoms(rng, stats, base: BaseMeasure, chol_k, config: MixtureConfig, t: int):
     """Every component's atom and sigma2_eta, in the partially collapsed order.
 
-    ``stats`` yields each component's ``_ClusterStats`` in component
-    order, or None for an empty component.  The occupied atoms come from
-    their cluster posteriors under ``base``; then sigma2_eta from
+    ``stats`` yields each component's (F, g) (``_component_sums``) in
+    component order, or None for an empty component.  The occupied atoms
+    come from their cluster posteriors under ``base``; then sigma2_eta from
     InverseGamma(a_eta + k r / 2, b_eta + sum_c eta_c' K^{-1} eta_c / 2)
     over the k occupied atoms; then the empty atoms from the base measure
     at that new sigma2_eta (``chol_k`` is the Cholesky factor of K).  The
@@ -210,7 +227,7 @@ def _draw_atoms(rng, stats, base: BaseMeasure, chol_k, config: MixtureConfig, t:
             empty.append(m)
             atoms.append(None)
             continue
-        theta = _posterior_draw(rng, *st.posterior(prec0))
+        theta = _atom_draw(rng, prec0, *st)
         eta = theta[base.p :]
         eta_quad += float(eta @ base.k_inv @ eta)
         atoms.append(theta)
@@ -229,20 +246,38 @@ def _draw_atoms(rng, stats, base: BaseMeasure, chol_k, config: MixtureConfig, t:
 
 
 def _prepare(z, d, x, basis: MoranBasis, config: MixtureConfig | None):
-    """Checked settings and rows of a fit: (config, z, d, u = [x, psi], p)."""
+    """Checked settings and whitened rows of a fit: (config, ``_Rows``, chol K).
+    Raises DefinitenessError when K has no Cholesky factor."""
     config = config or MixtureConfig()
     config.validate()
-    z, d, x, psi = _check_data(z, d, x, basis.psi)
-    return config, z, d, np.hstack([x, psi]), x.shape[1]
+    return config, _Rows(z, d, x, basis), _cholesky(basis.k, "basis covariance K")
 
 
-def _assign(rng, z, d, u, theta, log_prior, log_d_term) -> np.ndarray:
+def _area_means(rows: _Rows, theta: np.ndarray) -> np.ndarray:
+    """(m, M) psi parts a_k' eta_m of the component means on the area rows."""
+    return rows.area_psi @ theta[:, rows.p :].T
+
+
+def _assign(rng, rows: _Rows, theta: np.ndarray, log_prior) -> np.ndarray:
     """Each row's component from log_prior + log N(z_i; u_i' theta_m, d_i), by
     one Gumbel-max over the (n, M) array; ``log_prior`` is log pi_m under the
-    truncation and 0 or -inf (the row's slice admits m or not) when sliced."""
-    means = u @ theta.T
-    logw = log_prior - 0.5 * (z[:, None] - means) ** 2 / d[:, None] + log_d_term[:, None]
-    return np.argmax(logw + rng.gumbel(size=logw.shape), axis=1)
+    truncation and 0 or -inf (the row's slice admits m or not) when sliced.
+
+    The means are X beta_m' plus the area means repeated over each area's
+    L rows.  The Gumbel noise is -log E with E ~ Exp(1), and the terms
+    -log(2 pi d_i)/2 are left out: a constant per row moves no argmax.
+    """
+    logw = rows.x @ theta[:, : rows.p].T
+    spatial = _area_means(rows, theta)
+    per_area = logw.reshape(spatial.shape[0], rows.cells, -1)
+    per_area += spatial[:, None, :]
+    logw -= rows.z[:, None]
+    np.square(logw, out=logw)
+    logw *= -0.5 * rows.w[:, None]
+    logw += log_prior
+    noise = rng.standard_exponential(logw.shape)
+    logw -= np.log(noise, out=noise)
+    return np.argmax(logw, axis=1)
 
 
 def _draw_sticks(rng, counts: np.ndarray, alpha: float) -> np.ndarray:
@@ -251,15 +286,6 @@ def _draw_sticks(rng, counts: np.ndarray, alpha: float) -> np.ndarray:
     last takes the rest."""
     tail = counts[::-1].cumsum()[::-1]
     return _beta_logs(rng, 1.0 + counts[:-1], alpha + tail[1:])
-
-
-def _component_stats(c: np.ndarray, m_comp: int, z, d, u):
-    """``_ClusterStats`` of components 0..m_comp-1 under labels c (None when
-    empty), one at a time: holding all M keeps M (q, q) arrays alive."""
-    return (
-        _ClusterStats(idx, z, d, u) if idx.size else None
-        for idx in (np.flatnonzero(c == m) for m in range(m_comp))
-    )
 
 
 def _draw_alpha(rng, sticks: np.ndarray, alpha: float, config: MixtureConfig) -> float:
@@ -271,13 +297,14 @@ def _draw_alpha(rng, sticks: np.ndarray, alpha: float, config: MixtureConfig) ->
     return float(rng.gamma(config.a_alpha + log_w.size, 1.0 / (config.b_alpha - log_w.sum())))
 
 
-def _record(draws: DrawRecorder, t: int, u, theta, c, alpha, sigma2_eta, k_occ) -> None:
+def _record(draws: DrawRecorder, t: int, rows: _Rows, theta, c, alpha, sigma2_eta, k_occ) -> None:
     """Check the sweep's alpha and sigma2_eta for divergence (``_draw_atoms``
     checks theta); on a retained sweep, form y, check it and keep the draws."""
     if not (np.isfinite(alpha) and np.isfinite(sigma2_eta)):
         raise DivergenceError("non-finite draw", iteration=t)
     if draws.wants(t):
-        y = np.einsum("ij,ij->i", u, theta[c])
+        p = rows.p
+        y = np.einsum("ij,ij->i", rows.x, theta[c, :p]) + _area_means(rows, theta)[rows.area, c]
         if not np.all(np.isfinite(y)):
             raise DivergenceError("non-finite draw", iteration=t)
         draws.record(
@@ -352,44 +379,40 @@ def fit_msmm_dp(
     (3), atoms from the cluster posteriors, alpha = 1, sigma2_eta = 1.
     ``truncation_m`` is not read.
     """
-    config, z, d, u, p = _prepare(z, d, x, basis, config)
+    config, rows, chol_k = _prepare(z, d, x, basis, config)
+    p = rows.p
     rng = np.random.default_rng(config.seed)
-    chol_k = np.linalg.cholesky(basis.k)
 
     alpha = config.alpha_fixed if config.alpha_fixed is not None else 1.0
     sigma2_eta = 1.0
-    log_d_term = -0.5 * (_LOG_2PI + np.log(d))
-    c = crp_simulate(alpha, z.size, rng)
+    c = crp_simulate(alpha, rows.n, rng)
     sticks = _draw_sticks(rng, np.bincount(c, minlength=c.max() + 2), alpha)
     prec0 = BaseMeasure.from_basis(basis, p, config.sigma2_beta, sigma2_eta).prior_precision()
     theta = np.array(
-        [
-            _posterior_draw(rng, *st.posterior(prec0))
-            for st in _component_stats(c, sticks.shape[1], z, d, u)
-        ]
+        [_atom_draw(rng, prec0, *st) for st in _component_sums(rows, c, sticks.shape[1])]
     )
 
     draws = DrawRecorder(config)
     for t in range(config.iterations):
         base = BaseMeasure.from_basis(basis, p, config.sigma2_beta, sigma2_eta)
         pi = np.exp(_log_weights(sticks))  # the K weights, then the mass past them
-        s = pi[c] * rng.random(z.size)
+        s = pi[c] * rng.random(rows.n)
         rest, s_min = pi[-1], s.min()
         while rest >= s_min:
             added = _beta_logs(rng, [1.0], alpha)
             rest *= math.exp(added[1, 0])
-            sticks = np.hstack([sticks, added])
+            sticks = np.concatenate([sticks, added], axis=1)
             theta = np.vstack([theta, base.draw(rng, chol_k)])
         pi = np.exp(_log_weights(sticks))
 
         admitted = np.where(pi[None, :-1] > s[:, None], 0.0, -np.inf)
-        c = _assign(rng, z, d, u, theta, admitted, log_d_term)
+        c = _assign(rng, rows, theta, admitted)
         sticks = _draw_sticks(rng, np.bincount(c, minlength=c.max() + 2), alpha)
         c, sticks = _switch_labels(rng, c, sticks, alpha)
-        stats = _component_stats(c, sticks.shape[1], z, d, u)
+        stats = _component_sums(rows, c, sticks.shape[1])
         theta, k_occ, sigma2_eta = _draw_atoms(rng, stats, base, chol_k, config, t)
         alpha = _draw_alpha(rng, sticks, alpha, config)
-        _record(draws, t, u, theta, c, alpha, sigma2_eta, k_occ)
+        _record(draws, t, rows, theta, c, alpha, sigma2_eta, k_occ)
 
     return MixturePosterior(**draws.columns, seed=config.seed)
 
@@ -406,26 +429,24 @@ def fit_msmm_truncated(
     from the base measure at that sigma2_eta; alpha ~ Gamma(a_alpha +
     M - 1, b_alpha - sum_{m<M} log(1 - V_m)).
     """
-    config, z, d, u, p = _prepare(z, d, x, basis, config)
-    m_comp = config.truncation_m
+    config, rows, chol_k = _prepare(z, d, x, basis, config)
+    p, m_comp = rows.p, config.truncation_m
     rng = np.random.default_rng(config.seed)
-    chol_k = np.linalg.cholesky(basis.k)
 
-    theta = np.zeros((m_comp, u.shape[1]))
+    theta = np.zeros((m_comp, p + basis.r))
     alpha = config.alpha_fixed if config.alpha_fixed is not None else 1.0
     sigma2_eta = 1.0
     sticks = _beta_logs(rng, np.ones(m_comp - 1), alpha)
-    log_d_term = -0.5 * (_LOG_2PI + np.log(d))
 
     draws = DrawRecorder(config)
     for t in range(config.iterations):
-        c = _assign(rng, z, d, u, theta, _log_weights(sticks), log_d_term)
+        c = _assign(rng, rows, theta, _log_weights(sticks))
         sticks = _draw_sticks(rng, np.bincount(c, minlength=m_comp), alpha)
 
         base = BaseMeasure.from_basis(basis, p, config.sigma2_beta, sigma2_eta)
-        stats = _component_stats(c, m_comp, z, d, u)
+        stats = _component_sums(rows, c, m_comp)
         theta, k_occ, sigma2_eta = _draw_atoms(rng, stats, base, chol_k, config, t)
         alpha = _draw_alpha(rng, sticks, alpha, config)
-        _record(draws, t, u, theta, c, alpha, sigma2_eta, k_occ)
+        _record(draws, t, rows, theta, c, alpha, sigma2_eta, k_occ)
 
     return MixturePosterior(**draws.columns, seed=config.seed)

@@ -11,16 +11,20 @@ Given sigma2_eta, theta = (beta, eta) has the Gaussian prior
 ``BaseMeasure`` and, with U = [X, Psi], one Gaussian posterior of
 precision P = U' D^{-1} U + Sigma0^{-1}; sigma2_eta given eta is
 inverse gamma (``_inverse_gamma_conditional``).  The module forms that
-coefficient posterior two ways:
+coefficient posterior in these parts:
 
-* ``_ClusterStats.posterior`` sums F = U' D^{-1} U over a set of rows
-  and factors P by Cholesky.  The mixture samplers (``mixture``) draw
-  each cluster's atom with it, and it is the oracle of the fast path.
-* ``fit_msm`` is the one-cluster case.  It sums F per area from the
-  basis's area rows (``_data_precision``), and since only sigma2_eta
-  moves P between sweeps, along B = blockdiag(0, K^{-1}) alone, it
-  diagonalises P against B once per fit (``_diagonalise``) and then
-  draws theta and sigma2_eta in O(p + r) a sweep.
+* ``_component_sums`` forms F = U' D^{-1} U and g = U' D^{-1} z of
+  every component of a labelling, summed per (area, component) from the
+  whitened rows of ``_Rows``.  The mixture samplers (``mixture``) draw
+  each component's atom from them, and ``fit_msm`` is the one-component
+  call (``_data_precision``).
+* ``fit_msm`` then uses that only sigma2_eta moves P between sweeps,
+  along B = blockdiag(0, K^{-1}) alone: it diagonalises P against B once
+  per fit (``_diagonalise``) and draws theta and sigma2_eta in O(p + r)
+  a sweep.
+* ``_ClusterStats`` sums F over the rows of U itself and factors P by
+  Cholesky.  It is the kernel of ``mixture.cluster_posterior`` and the
+  test oracle of both paths above.
 
 ``ChainConfig`` and ``DrawRecorder`` are the chain settings and draw
 storage that every sampler shares.
@@ -262,26 +266,103 @@ def draw_inverse_gamma(rng: np.random.Generator, shape: float, scale: float) -> 
     return float(1.0 / rng.gamma(shape, 1.0 / scale))
 
 
-def _data_precision(z, d, x, basis: MoranBasis) -> tuple[np.ndarray, np.ndarray]:
-    """F = U' D^{-1} U and g = U' D^{-1} z for U = [X, Psi], summed per area.
+class _Rows:
+    """The rows of a fit, checked and whitened once, with their areas.
 
-    Each area's L entries share one row of Psi, the area row a_k of
-    A = ``basis.area_psi``.  So with the per-area sums s_w = sum_l 1/d,
-    s_x = sum_l x/d and s_z = sum_l z/d,
-    F = [[X' D^{-1} X, s_x' A], [A' s_x, A' diag(s_w) A]] and
-    g = [X' D^{-1} z, A' s_z]; no n x r product is formed.  For an
-    entry-level basis (L = 1) these are the sums over rows.
+    With w = 1/d: ``x`` (n, p); ``w``; ``xz_w`` = [x w, z w], whose sums
+    per (area, component) give s_x and s_z; ``xz_root`` = [x sqrt(w),
+    z sqrt(w)], whose products give the xx block of F and X' D^{-1} z;
+    ``area`` = i // L, the area of row i; ``area_psi`` = A, the basis's
+    area rows (contiguous), and ``cells`` = L.  The rows are area-major,
+    so ``area`` is nondecreasing.
     """
-    area = basis.area_psi
-    m, p = area.shape[0], x.shape[1]
-    x_d = x / d[:, None]
-    s_x = x_d.reshape(m, basis.cells, p).sum(axis=1)
-    s_w = (1.0 / d).reshape(m, basis.cells).sum(axis=1)
-    s_z = (z / d).reshape(m, basis.cells).sum(axis=1)
-    cross = s_x.T @ area
-    f = np.block([[x_d.T @ x, cross], [cross.T, (area.T * s_w) @ area]])
-    g = np.concatenate([x_d.T @ z, area.T @ s_z])
-    return f, g
+
+    __slots__ = ("z", "x", "w", "xz_w", "xz_root", "area", "area_psi", "cells")
+
+    def __init__(self, z, d, x, basis: MoranBasis):
+        z, d, x, _ = _check_data(z, d, x, basis.psi)
+        self.z, self.x, self.w = z, x, 1.0 / d
+        xz = np.column_stack([x, z])
+        self.xz_w = xz * self.w[:, None]
+        self.xz_root = xz * np.sqrt(self.w)[:, None]
+        self.cells = basis.cells
+        self.area = np.arange(z.size) // self.cells
+        self.area_psi = np.ascontiguousarray(basis.area_psi)
+
+    @property
+    def n(self) -> int:
+        return self.z.size
+
+    @property
+    def p(self) -> int:
+        return self.x.shape[1]
+
+
+def _component_sums(rows: _Rows, c: np.ndarray, m_comp: int):
+    """(F, g) of components 0..m_comp-1 under labels c, or None for an empty
+    one, with F = U_c' D_c^{-1} U_c and g = U_c' D_c^{-1} z_c over the
+    component's rows, U = [X, Psi].
+
+    Each area's rows share one row a_k of A = ``rows.area_psi``.  So with
+    the sums per (area, component) group s_w = sum 1/d, s_x = sum x/d and
+    s_z = sum z/d, and G = diag(sqrt(s_w)) A over the component's groups,
+    the psi-psi block is G'G, the psi-x block G'(s_x / sqrt(s_w)) and the
+    psi part of g G'(s_z / sqrt(s_w)); the xx block and the x part of g
+    come from the whitened rows.  No n x r product is formed.  A stable
+    sort on c keeps the area-major row order within each component, so
+    the rows fall in (component, area) order; for L = 1 every group is
+    one row and needs no sum.  Yielded one at a time: holding all of them
+    keeps m_comp (q, q) arrays alive.
+    """
+    p = rows.p
+    order = np.argsort(c, kind="stable")
+    c_sorted = c[order]
+    xz_root = rows.xz_root[order]
+    row_bounds = np.concatenate([[0], np.cumsum(np.bincount(c, minlength=m_comp))])
+    if rows.cells == 1:
+        comp, area, s_w, s_xz = c_sorted, rows.area[order], rows.w[order], rows.xz_w[order]
+    else:
+        key = c_sorted * (rows.area[-1] + 1) + rows.area[order]
+        starts = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+        comp, area = c_sorted[starts], rows.area[order[starts]]
+        s_w = np.add.reduceat(rows.w[order], starts)
+        s_xz = np.add.reduceat(rows.xz_w[order], starts, axis=0)
+    root = np.sqrt(s_w)
+    s_xz /= root[:, None]
+    group_bounds = np.concatenate([[0], np.cumsum(np.bincount(comp, minlength=m_comp))])
+    for m in range(m_comp):
+        lo, hi = row_bounds[m], row_bounds[m + 1]
+        if lo == hi:
+            yield None
+            continue
+        g_lo, g_hi = group_bounds[m], group_bounds[m + 1]
+        whitened = xz_root[lo:hi]
+        spatial = rows.area_psi[area[g_lo:g_hi]]
+        spatial *= root[g_lo:g_hi, None]
+        top = whitened[:, :p].T @ whitened  # [X'D^{-1}X, X'D^{-1}z]
+        cross = spatial.T @ s_xz[g_lo:g_hi]  # [A's_x, A's_z]
+        f = np.empty((p + cross.shape[0],) * 2)
+        f[:p, :p] = top[:, :p]
+        f[p:, :p] = cross[:, :p]
+        f[:p, p:] = cross[:, :p].T
+        f[p:, p:] = spatial.T @ spatial
+        yield f, np.concatenate([top[:, p], cross[:, p]])
+
+
+def _data_precision(rows: _Rows) -> tuple[np.ndarray, np.ndarray]:
+    """F = U' D^{-1} U and g = U' D^{-1} z over every row: the one-component
+    call of ``_component_sums``."""
+    return next(_component_sums(rows, np.zeros(rows.n, dtype=np.intp), 1))
+
+
+def _cholesky(matrix: np.ndarray, what: str) -> np.ndarray:
+    """The Cholesky factor of ``matrix``; DefinitenessError when it has none."""
+    try:
+        return np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        raise DefinitenessError(
+            f"{what} is not positive definite; check that the basis precision K^{{-1}} is"
+        ) from None
 
 
 def _diagonalise(f, g, base: BaseMeasure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -300,13 +381,7 @@ def _diagonalise(f, g, base: BaseMeasure) -> tuple[np.ndarray, np.ndarray, np.nd
     positive definite.
     """
     p = base.p
-    try:
-        chol = np.linalg.cholesky(f + base.prior_precision())
-    except np.linalg.LinAlgError:
-        raise DefinitenessError(
-            "coefficient posterior precision is not positive definite; "
-            "check that the basis precision K^{-1} is"
-        ) from None
+    chol = _cholesky(f + base.prior_precision(), "coefficient posterior precision")
     chol_inv = np.linalg.inv(chol)
     half = chol_inv[:, p:]
     mu, rot = np.linalg.eigh(half @ base.k_inv @ half.T)
@@ -337,14 +412,14 @@ def fit_msm(z, d, x, basis: MoranBasis, config: MsmConfig | None = None) -> Post
     """
     config = config or MsmConfig()
     config.validate()
-    z, d, x, _ = _check_data(z, d, x, basis.psi)
-    p, r = x.shape[1], basis.r
+    rows = _Rows(z, d, x, basis)
+    p, r = rows.p, basis.r
     if basis.k_inv.shape != (r, r):
         raise ShapeError("basis precision must be (r, r)")
 
     rng = np.random.default_rng(config.seed)
     base = BaseMeasure.from_basis(basis, p, config.sigma2_beta, 1.0)
-    mu, v, t = _diagonalise(*_data_precision(z, d, x, basis), base)
+    mu, v, t = _diagonalise(*_data_precision(rows), base)
     fixed = config.sigma2_eta_fixed
     sigma2_eta = 1.0 if fixed is None else float(fixed)
 
@@ -363,7 +438,7 @@ def fit_msm(z, d, x, basis: MoranBasis, config: MsmConfig | None = None) -> Post
 
         if draws.wants(sweep):
             theta = v @ w
-            y = x @ theta[:p] + np.repeat(basis.area_psi @ theta[p:], basis.cells)
+            y = rows.x @ theta[:p] + np.repeat(rows.area_psi @ theta[p:], rows.cells)
             if not np.all(np.isfinite(y)):
                 raise DivergenceError("non-finite latent field", iteration=sweep)
             draws.record(beta=theta[:p], eta=theta[p:], sigma2_eta=sigma2_eta, y=y)

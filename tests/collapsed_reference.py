@@ -221,7 +221,8 @@ def fit_collapsed(z, d, x, basis, config: MixtureConfig | None = None) -> Mixtur
         k = weights.size - 1
         members = [np.flatnonzero(assignments == c) for c in range(k)]
         stats = [_ClusterStats(idx, z, d, u) for idx in members]
-        theta, _, sigma2_eta = _draw_atoms(rng, stats, base, None, config, t)
+        sums = [(st.f, st.g) for st in stats]
+        theta, _, sigma2_eta = _draw_atoms(rng, sums, base, None, config, t)
         y = np.empty(n)
         for c, idx in enumerate(members):
             y[idx] = u[idx] @ theta[c]

@@ -9,6 +9,7 @@ from scipy.special import betaln, gammaln, logsumexp
 
 from areamix import (
     BaseMeasure,
+    DefinitenessError,
     DivergenceError,
     DomainError,
     MixtureConfig,
@@ -38,7 +39,7 @@ from collapsed_reference import (
     shift_row,
     update_alpha_escobar_west,
 )
-from test_msm import joint_gaussian_condition
+from test_msm import joint_gaussian_condition, random_area_inputs
 
 
 @pytest.fixture(scope="module")
@@ -348,6 +349,35 @@ class TestBatchedKernel:
         assert np.array_equal(blocks[-1, -1], np.zeros(p + r))
 
 
+class TestAtomDraw:
+    def test_matches_cluster_posterior(self, base_measure, cluster_data):
+        # one draw is the posterior mean plus chol'^{-1} e, chol the Cholesky
+        # factor of the posterior precision and e the seed's normals
+        z, d, u = cluster_data
+        members = np.array([0, 2, 3, 5, 6])
+        mean, cov = cluster_posterior(members, z, d, u, base_measure)
+        chol = np.linalg.cholesky(np.linalg.inv(cov))
+        e = np.random.default_rng(71).standard_normal(base_measure.dim)
+        want = mean + solve_triangular(chol.T, e, lower=False)
+        st = mixture._ClusterStats(members, z, d, u)
+        prec0 = base_measure.prior_precision()
+        got = mixture._atom_draw(np.random.default_rng(71), prec0, st.f, st.g)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("fit", [fit_msmm_truncated, fit_msmm_dp], ids=["truncated", "dp"])
+    @pytest.mark.parametrize("k_scale", [-0.01, 1.0], ids=["kernel", "precision"])
+    def test_indefinite_prior_is_a_definiteness_error(self, small_inputs, fit, k_scale):
+        # K^{-1} = -100 I: with K = -I/100 the Cholesky factor of K fails at
+        # set-up; with K = I, that of the first atom posterior precision
+        study, x, _, basis = small_inputs
+        r = basis.r
+        broken = replace(basis, k_inv=-100.0 * np.eye(r), k=k_scale * np.eye(r))
+        cfg = MixtureConfig(iterations=5, burn_in=1)
+        with pytest.raises(DefinitenessError) as caught:
+            fit(study.truth.z, study.truth.d, x, broken, cfg)
+        assert caught.value.exit_code == 4
+
+
 TILES = 40000  # copies of each row drawn by one _assign call
 
 
@@ -363,14 +393,27 @@ def assign_inputs():
     return z, d, u, theta
 
 
-def run_assign(seed, z, d, u, theta, log_prior):
-    """Picks (TILES, n) of one ``_assign`` call over the rows tiled TILES times."""
-    zt, dt = np.tile(z, TILES), np.tile(d, TILES)
-    log_d_term = -0.5 * (math.log(2.0 * math.pi) + np.log(dt))
-    c = mixture._assign(
-        np.random.default_rng(seed), zt, dt, np.tile(u, (TILES, 1)), theta, log_prior, log_d_term
+def spread(a, cells=1):
+    """The n rows of ``a`` drawn TILES times, in row order: TILES copies of
+    the table (cells = 1) or each row TILES times running (cells = TILES)."""
+    if cells == 1:
+        return np.tile(a, (TILES,) + (1,) * (a.ndim - 1))
+    return np.repeat(a, TILES, axis=0)
+
+
+def run_assign(seed, z, d, u, theta, log_prior, cells=1):
+    """Picks, in row order, of one ``_assign`` call over the rows of (z, d, u)
+    ``spread`` TILES times, with u = [x, psi] and one column of x.  At
+    cells = TILES each row is an area of TILES entries, so the psi part of
+    its means is formed on the area rows and repeated."""
+    psi = spread(u[:, 1:], cells)
+    r = psi.shape[1]
+    basis = MoranBasis(
+        psi=psi, eigenvalues=np.ones(r), k_inv=np.eye(r), k=np.eye(r),
+        n_positive=r, tolerance=1e-10, cells=cells,
     )
-    return c.reshape(TILES, z.size)
+    rows = mixture._Rows(spread(z, cells), spread(d, cells), spread(u[:, :1], cells), basis)
+    return mixture._assign(np.random.default_rng(seed), rows, theta, log_prior)
 
 
 def pick_probs(z, d, u, theta, log_prior):
@@ -396,14 +439,14 @@ class TestAssign:
         want = pick_probs(z, d, u, theta, log_prior)
         assert want.min() > 0.01  # every entry of the law is tested
         picks = run_assign(82, z, d, u, theta, log_prior)
-        self.check_frequencies(picks, want)
+        self.check_frequencies(picks.reshape(TILES, z.size), want)
 
     def test_slice_mask_frequencies(self, assign_inputs):
         z, d, u, theta = assign_inputs
         mask = np.array([[0.0, -np.inf, 0.0, 0.0], [-np.inf, 0.0, -np.inf, 0.0], [0.0] * 4])
         want = pick_probs(z, d, u, theta, mask)
-        picks = run_assign(83, z, d, u, theta, np.tile(mask, (TILES, 1)))
-        self.check_frequencies(picks, want)
+        picks = run_assign(83, z, d, u, theta, spread(mask))
+        self.check_frequencies(picks.reshape(TILES, z.size), want)
 
     def test_slice_mask_never_picks_masked(self, assign_inputs):
         z, d, u, theta = assign_inputs
@@ -411,8 +454,22 @@ class TestAssign:
         rows, m_comp = TILES * z.size, theta.shape[0]
         admitted = rng.random((rows, m_comp)) < 0.4
         admitted[np.arange(rows), rng.integers(m_comp, size=rows)] = True  # each row admits one
-        picks = run_assign(85, z, d, u, theta, np.where(admitted, 0.0, -np.inf)).ravel()
+        picks = run_assign(85, z, d, u, theta, np.where(admitted, 0.0, -np.inf))
         assert np.all(admitted[np.arange(rows), picks])
+
+    def test_area_rows_frequencies(self, assign_inputs):
+        # each row an area of TILES entries: the truncated prior and the
+        # slice mask through the area-row means
+        z, d, u, theta = assign_inputs
+        mask = np.array([[0.0, -np.inf, 0.0, 0.0], [-np.inf, 0.0, -np.inf, 0.0], [0.0] * 4])
+        for seed, log_prior, per_row in (
+            (86, np.log(stick_break([0.4, 0.3, 0.5])), None),
+            (87, mask, spread(mask, TILES)),
+        ):
+            want = pick_probs(z, d, u, theta, log_prior)
+            given = log_prior if per_row is None else per_row
+            picks = run_assign(seed, z, d, u, theta, given, cells=TILES)
+            self.check_frequencies(picks.reshape(z.size, TILES).T, want)
 
     @pytest.mark.parametrize("fit", [fit_msmm_truncated, fit_msmm_dp], ids=["truncated", "dp"])
     def test_called_once_per_sweep(self, small_inputs, monkeypatch, fit):
@@ -432,6 +489,20 @@ class TestAssign:
         monkeypatch.setattr(mixture, "_draw_atoms", atoms_spy)
         fit(study.truth.z, study.truth.d, x, basis, MixtureConfig(iterations=12, burn_in=2, seed=6))
         assert events == [e for t in range(12) for e in ("assign", t)]
+
+
+@pytest.mark.parametrize("cells", [1, 3])
+def test_y_formed_on_area_rows(cells):
+    # the recorded y_i = u_i' theta_{c_i}, with its psi part formed on the
+    # area rows
+    rng = np.random.default_rng(90 + cells)
+    z, d, x, basis = random_area_inputs(rng, 6, cells)
+    theta = rng.normal(size=(4, x.shape[1] + basis.r))
+    c = rng.integers(4, size=z.size)
+    draws = mixture.DrawRecorder(MixtureConfig(iterations=1, burn_in=0))
+    mixture._record(draws, 0, mixture._Rows(z, d, x, basis), theta, c, 1.0, 1.0, 4)
+    want = np.einsum("ij,ij->i", np.hstack([x, basis.psi]), theta[c])
+    assert np.linalg.norm(draws.columns["y"][0] - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -43,6 +43,40 @@ def area_level_inputs():
     return study, x, basis
 
 
+def random_area_inputs(rng, m, cells, p=3, r=4):
+    """(z, d, x, basis) of m areas with ``cells`` entries each: an area-level
+    basis of orthonormal random area rows, and variances that differ
+    within each area."""
+    n = m * cells
+    area, _ = np.linalg.qr(rng.normal(size=(m, r)))
+    basis = MoranBasis(
+        psi=np.repeat(area / np.sqrt(cells), cells, axis=0), eigenvalues=np.ones(r),
+        k_inv=np.eye(r), k=np.eye(r), n_positive=r, tolerance=1e-10, cells=cells,
+    )
+    x = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
+    return rng.normal(size=n), rng.uniform(0.05, 2.0, size=n), x, basis
+
+
+def check_component_sums(rng, z, d, x, basis, m_comp=6, partitions=4):
+    """``_component_sums`` against ``_ClusterStats``'s row sums, to 1e-12
+    relative, on random partitions that leave components 1, 4 and 5 empty."""
+    rows = msm._Rows(z, d, x, basis)
+    u = np.hstack([x, basis.psi])
+    for _ in range(partitions):
+        c = rng.choice([0, 2, 3], size=z.size)
+        sums = list(msm._component_sums(rows, c, m_comp))
+        assert len(sums) == m_comp
+        for m, got in enumerate(sums):
+            members = np.flatnonzero(c == m)
+            if members.size == 0:
+                assert got is None
+                continue
+            want = msm._ClusterStats(members, z, d, u)
+            f, g = got
+            assert np.linalg.norm(f - want.f) <= 1e-12 * np.linalg.norm(want.f)
+            assert np.linalg.norm(g - want.g) <= 1e-12 * np.linalg.norm(want.g)
+
+
 class TestConditionalSigma2Eta:
     def test_shape_and_scale(self):
         eta = np.array([1.0, 2.0])
@@ -168,21 +202,25 @@ class TestSharedAtomKernel:
     def test_data_precision_sums_per_area(self, cells):
         # F and g summed per area against the row sums of _ClusterStats, with
         # variances that differ within each area
-        rng = np.random.default_rng(40 + cells)
-        m, p, r = 7, 3, 4
-        n = m * cells
-        area, _ = np.linalg.qr(rng.normal(size=(m, r)))
-        basis = MoranBasis(
-            psi=np.repeat(area / np.sqrt(cells), cells, axis=0), eigenvalues=np.ones(r),
-            k_inv=np.eye(r), k=np.eye(r), n_positive=r, tolerance=1e-10, cells=cells,
-        )
-        x = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
-        z = rng.normal(size=n)
-        d = rng.uniform(0.05, 2.0, size=n)
-        f, g = msm._data_precision(z, d, x, basis)
+        z, d, x, basis = random_area_inputs(np.random.default_rng(40 + cells), 7, cells)
+        f, g = msm._data_precision(msm._Rows(z, d, x, basis))
         rows = msm._ClusterStats(slice(None), z, d, np.hstack([x, basis.psi]))
         assert np.linalg.norm(f - rows.f) <= 1e-12 * np.linalg.norm(rows.f)
         assert np.linalg.norm(g - rows.g) <= 1e-12 * np.linalg.norm(rows.g)
+
+    @pytest.mark.parametrize("cells", [1, 2, 3])
+    def test_component_sums_match_row_sums(self, cells):
+        rng = np.random.default_rng(60 + cells)
+        z, d, x, basis = random_area_inputs(rng, 11, cells)
+        check_component_sums(rng, z, d, x, basis)
+
+    def test_component_sums_on_entry_level_basis(self, small_inputs):
+        # an entry-level basis (L = 1) of a table with 2 cells per area
+        study, x, _, basis = small_inputs
+        assert basis.cells == 1 and study.n_cells == 2
+        rng = np.random.default_rng(64)
+        d = study.truth.d * rng.uniform(0.5, 2.0, size=study.truth.n_rows)
+        check_component_sums(rng, study.truth.z, d, x, basis)
 
     @pytest.mark.parametrize("level", ["entry", "area"])
     def test_decomposition_matches_cluster_posterior(self, small_inputs, level):
@@ -193,7 +231,7 @@ class TestSharedAtomKernel:
             assert basis.cells == 3 and basis.r > 1
         z, d = study.truth.z, study.truth.d
         p = x.shape[1]
-        f, g = msm._data_precision(z, d, x, basis)
+        f, g = msm._data_precision(msm._Rows(z, d, x, basis))
         mu, v, t = msm._diagonalise(f, g, BaseMeasure.from_basis(basis, p, 10.0, 1.0))
         assert np.all((mu >= 0.0) & (mu <= 1.0))
         u = np.hstack([x, basis.psi])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,20 @@ class TestRunStudy:
         assert result.rows == ()
         assert len(result.divergent) == 2
         assert all(model == "msm" for _, model, _ in result.divergent)
+
+    @pytest.mark.parametrize("algorithm", ["truncated", "dp"])
+    def test_indefinite_atom_precision_recorded_not_raised(self, small_inputs, algorithm):
+        # K^{-1} = -100 I leaves every mixture atom posterior precision without
+        # a Cholesky factor: each replicate fails with DefinitenessError, and
+        # the study records it and goes on
+        study, x, _, basis = small_inputs
+        r = basis.r
+        broken = replace(basis, k_inv=-100.0 * np.eye(r), k=np.eye(r))
+        cfg = quick_config(replicates=2, models=("msmm", "fh"), msmm_algorithm=algorithm)
+        result = run_study(study.truth, x, broken, cfg)
+        assert [model for _, model, *_ in result.rows] == ["fh", "fh"]
+        assert [(rep, model) for rep, model, _ in result.divergent] == [(0, "msmm"), (1, "msmm")]
+        assert all("not positive definite" in message for *_, message in result.divergent)
 
     def test_summary_quantiles(self, small_inputs):
         study, x, _, basis = small_inputs
