@@ -259,8 +259,7 @@ def cmd_fit(config: dict, out_dir: Path) -> list[str]:
         chain_cfg = replace(cfg, seed=derive_seed(config["seed"], chain))
         fits.append(_fit_one_chain(model.name, config["algorithm"], z, d, x, basis, chain_cfg))
 
-    y_all = np.vstack([fit.y for fit in fits])
-    summary = predict_summaries(y_all)
+    summary = predict_summaries([fit.y for fit in fits])
     write_prediction_csv(out_dir / "predictions.csv", log_table, summary)
     outputs = ["predictions.csv"]
 

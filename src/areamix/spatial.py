@@ -64,6 +64,8 @@ def _check_adjacency(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"adjacency must be square, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise DomainError("adjacency entries must be finite")
     if not np.array_equal(a, a.T):
         raise DomainError("adjacency must be symmetric")
     if np.any(a < 0):

@@ -284,37 +284,6 @@ class CountSummary:
     cv: np.ndarray
 
 
-def back_transform(draws) -> CountSummary:
-    """Summarise log-scale draws on the count scale via y* = exp(y) - 1.
-
-    ``draws`` is (T, n): T retained draws for n entries; a 1-D vector is
-    treated as a single draw.  The inverse decodes exactly on encoded
-    integer counts: a draw that is bit-for-bit log(k + 1) for a
-    nonnegative integer k maps back to k with no rounding residue.
-    Standard deviations use the n-1 denominator (a single draw gives 0),
-    and CV = sd / mean is left undefined where the mean is 0.
-    """
-    arr = np.asarray(draws, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ShapeError("draws must be a nonempty (T, n) matrix")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("draws must be finite")
-    counts = np.expm1(arr)
-    nearest = np.rint(counts)
-    snap = (nearest >= 0) & (np.log1p(np.abs(nearest)) == arr)
-    counts = np.where(snap, nearest, counts)
-    mean = counts.mean(axis=0)
-    if counts.shape[0] == 1:
-        sd = np.zeros_like(mean)
-    else:
-        sd = counts.std(axis=0, ddof=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cv = np.where(mean != 0.0, sd / mean, np.nan)
-    return CountSummary(mean=mean, sd=sd, cv=cv)
-
-
 @dataclass(frozen=True)
 class PredictionSummary:
     """Per-entry posterior summaries on both scales."""
@@ -324,24 +293,114 @@ class PredictionSummary:
     count: CountSummary
 
 
+# Summaries are formed over blocks of entries (columns) holding about this
+# many bytes of pooled draws, so no pooled copy and no temporary the size of
+# the draws is made.
+_BLOCK_BYTES = 512 * 1024
+
+# A draw is decoded as the integer k only where expm1 puts it within this
+# relative distance of k; see back_transform for why that misses no k.
+_SNAP_TOLERANCE = 1e-9
+
+
+def back_transform(draws) -> CountSummary:
+    """Summarise log-scale draws on the count scale via y* = exp(y) - 1.
+
+    ``draws`` is read as in ``predict_summaries``: a (T, n) matrix of T
+    retained draws for n entries, a 1-D vector as a single draw, or a list
+    or tuple of chains pooled in order.  The inverse decodes exactly on
+    encoded integer counts: a draw that is bit-for-bit log(k + 1) for a
+    nonnegative integer k maps back to k with no rounding residue.  log1p
+    is evaluated only where expm1(y) lies within 1e-9 (1 + k) of the
+    nearest nonnegative integer k.  An exact encoding y = fl(log1p(k)) is
+    off by at most about log(k + 1) 2^-53 relative, so expm1(y) is within
+    about (1 + k)(log(k + 1) + 2) 2^-53 of k, which is under 1e-13 (1 + k)
+    for every finite count, and the filter changes no result.  Standard
+    deviations use the n-1 denominator (a single draw gives 0), and CV =
+    sd / mean is left undefined where the mean is 0.
+    """
+    return predict_summaries(draws).count
+
+
 def predict_summaries(draws) -> PredictionSummary:
     """Posterior mean/sd of log-scale predictions plus count-scale summaries.
 
-    Accepts either a (T, n) array of retained y draws or any fit result
-    exposing a ``.y`` attribute.
+    ``draws`` is a (T, n) array of retained y draws (a 1-D vector is one
+    draw), any fit result exposing a ``.y`` attribute, or a list or tuple
+    of such chains, which are pooled in order, as ``np.vstack`` would pool
+    them.  The five summaries are formed one block of entries at a time,
+    each block holding that slice of every chain, about 512 KiB, so the
+    pooled draws are never copied whole.  Every entry is reduced over its
+    draws in the order numpy reduces the whole pooled array, so the
+    results are bit-for-bit those of the pooled array.  The count-scale
+    summaries are those of ``back_transform``.
     """
-    arr = getattr(draws, "y", draws)
-    arr = np.asarray(arr, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.size == 0:
+    chains = _chains(draws)
+    n = chains[0].shape[1]
+    log_mean, log_sd, mean, sd = (np.empty(n) for _ in range(4))
+    for lo, hi in _column_blocks(n, sum(len(chain) for chain in chains)):
+        block = np.concatenate([chain[:, lo:hi] for chain in chains]).astype(float, copy=False)
+        log_mean[lo:hi], log_sd[lo:hi], mean[lo:hi], sd[lo:hi] = _summarise_block(block)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cv = np.where(mean != 0.0, sd / mean, np.nan)
+    return PredictionSummary(
+        log_mean=log_mean, log_sd=log_sd, count=CountSummary(mean=mean, sd=sd, cv=cv)
+    )
+
+
+def _chains(draws) -> list[np.ndarray]:
+    """The chains of ``draws`` as (T_c, n) arrays over one n, checked."""
+    items = draws if isinstance(draws, (list, tuple)) else [draws]
+    chains = []
+    for item in items:
+        chain = np.asarray(getattr(item, "y", item))
+        if chain.ndim == 1:
+            chain = chain[None, :]
+        if chain.ndim != 2:
+            raise ShapeError(f"draws must be (T, n) or a single draw (n,), got {chain.ndim}-D")
+        chains.append(chain)
+    widths = sorted({chain.shape[1] for chain in chains})
+    if len(widths) > 1:
+        raise ShapeError(f"chains disagree on the number of entries: {widths}")
+    if not chains or widths == [0] or not any(len(chain) for chain in chains):
         raise ShapeError("no retained draws to summarise")
-    log_mean = arr.mean(axis=0)
-    if arr.shape[0] == 1:
-        log_sd = np.zeros_like(log_mean)
-    else:
-        log_sd = arr.std(axis=0, ddof=1)
-    return PredictionSummary(log_mean=log_mean, log_sd=log_sd, count=back_transform(arr))
+    return chains
+
+
+def _column_blocks(n: int, draws: int) -> list[tuple[int, int]]:
+    """Column bounds of blocks holding about _BLOCK_BYTES of ``draws`` rows.
+
+    A block is at least two columns wide unless n is 1: numpy sums a lone
+    column pairwise, but each column of a wider row-major array row by
+    row, as it does the whole (T, n) array, so no column changes its bits.
+    (Column-major draws give column-major blocks, summed pairwise whole or
+    in blocks.)
+    """
+    width = max(2, _BLOCK_BYTES // (8 * draws))
+    starts = list(range(0, n, width))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()  # a lone last column joins the block before it
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def _summarise_block(block: np.ndarray):
+    """Log mean and sd, then count mean and sd, of each column of a block."""
+    if not np.all(np.isfinite(block)):
+        raise DomainError("draws must be finite")
+    counts = np.expm1(block)
+    nearest = np.rint(counts)
+    with np.errstate(invalid="ignore"):  # inf - inf where expm1 overflows
+        near = (nearest >= 0) & (np.abs(counts - nearest) <= _SNAP_TOLERANCE * (1.0 + nearest))
+    snap = np.zeros_like(near)
+    snap[near] = np.log1p(nearest[near]) == block[near]
+    np.copyto(counts, nearest, where=snap)
+    return block.mean(axis=0), _sd(block), counts.mean(axis=0), _sd(counts)
+
+
+def _sd(block: np.ndarray) -> np.ndarray:
+    if len(block) == 1:
+        return np.zeros(block.shape[1])
+    return block.std(axis=0, ddof=1)
 
 
 PREDICTION_COLUMNS = [

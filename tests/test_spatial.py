@@ -9,9 +9,11 @@ from areamix import (
     ShapeError,
     UnknownAreaError,
     build_adjacency,
+    build_basis,
     connected_components,
     expand_multivariate,
     icar_precision,
+    moran_operator,
     read_edge_list,
 )
 from areamix.synthetic import grid_graph
@@ -135,6 +137,28 @@ class TestIcarPrecision:
         assert int(np.sum(np.abs(eigs) < 1e-10)) == 2
         labels = connected_components(w)
         assert len(set(labels.tolist())) == 2
+
+
+class TestNonFiniteAdjacency:
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x, a: moran_operator(x, a),
+            lambda x, a: build_basis(x, a),
+            lambda x, a: icar_precision(a),
+        ],
+        ids=["moran_operator", "build_basis", "icar_precision"],
+    )
+    def test_rejected_before_any_arithmetic(self, value, call):
+        areas, edges = grid_graph(3, 3)
+        a = build_adjacency(areas, edges)
+        a[0, 1] = a[1, 0] = value  # symmetric, so only finiteness can object
+        x = np.column_stack([np.ones(9), np.arange(9.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="adjacency entries must be finite"):
+                call(x, a)
 
 
 def depth_first_components(a: np.ndarray) -> np.ndarray:

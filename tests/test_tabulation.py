@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from areamix import (
     predict_summaries,
     write_prediction_csv,
 )
+from areamix import tabulation
 from areamix.loess import loess_fit
 from areamix.tabulation import IMPUTATION_FLOOR, PREDICTION_COLUMNS
 
@@ -310,3 +312,131 @@ class TestPredictSummaries:
             write_prediction_csv(
                 tmp_path / "x.csv", log_table, predict_summaries(np.zeros((2, 3)))
             )
+
+    def test_chain_of_three_dimensions(self):
+        # rejected before any arithmetic: the NaN is never reached
+        with pytest.raises(ShapeError, match="3-D"):
+            predict_summaries(np.full((2, 3, 4), np.nan))
+        with pytest.raises(ShapeError, match="0-D"):
+            predict_summaries([np.zeros((2, 3)), 1.0])
+
+    def test_chains_disagree_on_entries(self):
+        with pytest.raises(ShapeError, match="disagree"):
+            predict_summaries([np.full((2, 3), np.nan), np.zeros((2, 4))])
+
+    @pytest.mark.parametrize(
+        "draws",
+        [[], np.empty((0, 3)), np.empty((2, 0)), [np.empty((0, 3)), np.empty((0, 3))]],
+        ids=["no chains", "no draws", "no entries", "empty chains"],
+    )
+    def test_empty_pooled_draws(self, draws):
+        with pytest.raises(ShapeError, match="no retained draws"):
+            predict_summaries(draws)
+
+    def test_list_of_fit_results(self):
+        class Fake:
+            def __init__(self, y):
+                self.y = y
+
+        a, b = np.array([[0.0, 1.0]]), np.array([[2.0, 3.0], [math.log(3.0), 0.5]])
+        s = predict_summaries([Fake(a), Fake(b)])
+        assert np.array_equal(s.log_mean, np.vstack([a, b]).mean(axis=0))
+
+
+def whole_array_summaries(draws) -> list[np.ndarray]:
+    """Oracle: the five summaries from whole-array formulas over the pooled draws."""
+    arr = np.asarray(draws, dtype=float)
+    counts = np.expm1(arr)
+    nearest = np.rint(counts)
+    snap = (nearest >= 0) & (np.log1p(np.abs(nearest)) == arr)
+    counts = np.where(snap, nearest, counts)
+
+    def sd(a):
+        return np.zeros(a.shape[1]) if len(a) == 1 else a.std(axis=0, ddof=1)
+
+    mean = counts.mean(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cv = np.where(mean != 0.0, sd(counts) / mean, np.nan)
+    return [arr.mean(axis=0), sd(arr), mean, sd(counts), cv]
+
+
+def summary_vectors(s) -> list[np.ndarray]:
+    return [s.log_mean, s.log_sd, s.count.mean, s.count.sd, s.count.cv]
+
+
+def mixed_draws(rows: int, columns: int, seed: int = 0) -> np.ndarray:
+    """Draws mixing exact encodings log1p(k) for k in 0..1e15, their
+    nextafter neighbours, zeros, negatives and non-integers, column by
+    column and draw by draw."""
+    rng = np.random.default_rng(seed)
+    ks = np.unique(np.concatenate([np.arange(100.0), np.rint(np.logspace(2, 15, 200))]))
+    encoded = np.log1p(rng.choice(ks, size=(rows, columns)))
+    kinds = rng.integers(0, 6, size=(rows, columns))
+    kinds[:, 0] = 0  # an all-encoded column
+    kinds[:, 1] = 4  # an all-zero column: its mean is 0 and its CV undefined
+    return np.select(
+        [kinds == 0, kinds == 1, kinds == 2, kinds == 3, kinds == 4],
+        [
+            encoded,
+            np.nextafter(encoded, np.inf),
+            np.nextafter(encoded, -np.inf),
+            -rng.exponential(1.0, size=(rows, columns)),
+            np.zeros((rows, columns)),
+        ],
+        rng.normal(3.0, 2.0, size=(rows, columns)),
+    )
+
+
+class TestBlockedSummaries:
+    """predict_summaries against the whole-array formulas, bit for bit."""
+
+    @pytest.fixture(params=[None, 1, 13], ids=["default blocks", "1 column", "13 columns"])
+    def block_columns(self, request, monkeypatch):
+        """Force blocks of this many columns of the 41 pooled draws below."""
+        if request.param is not None:
+            monkeypatch.setattr(tabulation, "_BLOCK_BYTES", 8 * 41 * request.param)
+        return request.param
+
+    def assert_bitwise(self, draws, pooled):
+        got, want = summary_vectors(predict_summaries(draws)), whole_array_summaries(pooled)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+            assert np.array_equal(g, w, equal_nan=True)
+        count = back_transform(draws)
+        assert [count.mean.tobytes(), count.sd.tobytes(), count.cv.tobytes()] == [
+            w.tobytes() for w in want[2:]
+        ]
+
+    def test_one_array(self, block_columns):
+        draws = mixed_draws(41, 53)
+        self.assert_bitwise(draws, draws)
+        # numpy sums the columns of a Fortran-ordered array pairwise, whole or in blocks
+        self.assert_bitwise(np.asfortranarray(draws), np.asfortranarray(draws))
+
+    def test_chains_of_unequal_length(self, block_columns):
+        chains = [mixed_draws(17, 53, seed=1), mixed_draws(24, 53, seed=2)]
+        self.assert_bitwise(chains, np.vstack(chains))
+        self.assert_bitwise(tuple(chains), np.vstack(chains))
+
+    def test_single_draw(self, block_columns):
+        draws = mixed_draws(1, 53)
+        self.assert_bitwise(draws, draws)
+        self.assert_bitwise(draws[0], draws)
+
+    def test_single_entry(self, block_columns):
+        # numpy sums a lone column pairwise, both whole and in one block
+        draws = mixed_draws(41, 2)[:, :1]
+        self.assert_bitwise(draws, draws)
+
+    def test_memory_is_a_block_not_the_draws(self):
+        draws = np.random.default_rng(0).normal(3.0, 1.0, size=(1024, 8192))
+        assert draws.nbytes >= 64 * 2**20
+        for arg in (draws, [draws[:512], draws[512:]]):
+            tracemalloc.start()
+            try:
+                predict_summaries(arg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < draws.nbytes / 8
