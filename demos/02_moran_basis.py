@@ -39,15 +39,19 @@ n_positive = int((eigenvalues > 1e-10 * np.abs(eigenvalues).max()).sum())
 print(f"operator spectrum: {n_positive} positive of {g.shape[0]}")
 print("leading eigenvalues:", np.round(eigenvalues[:6], 3))
 
+# a basis keeps its area rows; Psi over the n entries repeats each one over
+# the area's L cells (L = 1 here, with the entry-level adjacency)
 basis = build_basis(x, a, fraction=0.5)
+psi = np.repeat(basis.area_psi, basis.cells, axis=0)
 print(f"selected r = {basis.r} (half of the positive spectrum)")
-print(f"max |psi' x|      = {np.max(np.abs(basis.psi.T @ x)):.2e}")
-print(f"max |psi'psi - I| = {np.max(np.abs(basis.psi.T @ basis.psi - np.eye(basis.r))):.2e}")
+print(f"max |psi' x|      = {np.max(np.abs(psi.T @ x)):.2e}")
+print(f"max |psi'psi - I| = {np.max(np.abs(psi.T @ psi - np.eye(basis.r))):.2e}")
 
 # the 25 x 25 area adjacency gives the same basis without the 50 x 50 one:
 # L = n / m = 2 cells per area is read from the shapes
 area = build_basis(x, w, fraction=0.5)
-gap = np.max(np.abs(area.psi @ area.psi.T - basis.psi @ basis.psi.T))
+area_psi = np.repeat(area.area_psi, area.cells, axis=0)
+gap = np.max(np.abs(area_psi @ area_psi.T - psi @ psi.T))
 print(f"area-level path: r = {area.r}, max |projector difference| = {gap:.1e}")
 
 # the basis inherits its prior precision from the ICAR structure
@@ -62,4 +66,4 @@ key = basis_cache_key(x, a)
 path = save_basis(basis, cache_dir, key)
 print(f"cached as {path.name}")
 reloaded = load_basis(cache_dir, key)
-print("cache round trip exact:", np.array_equal(reloaded.psi, basis.psi))
+print("cache round trip exact:", np.array_equal(reloaded.area_psi, basis.area_psi))

@@ -6,7 +6,7 @@ a basis for smooth spatial variation that the covariates cannot absorb.
 The induced prior precision for basis coefficients is Psi' Q Psi, which
 is the Frobenius-optimal restriction of the full graph precision Q.
 For a table of L cells per area all of it is computed on the m x m area
-adjacency and lifted to the n = m L entries (see ``build_basis``).
+adjacency; the basis keeps the m area rows of its n = m L entries.
 """
 
 from __future__ import annotations
@@ -40,17 +40,21 @@ DEFAULT_FRACTION = 0.5
 class MoranBasis:
     """Selected eigenvectors with the induced coefficient prior.
 
-    psi : (n, r) orthonormal columns, each orthogonal to the design
+    area_psi : (m, r) area rows; the basis Psi of the n = m L entries,
+        never formed, repeats each L times, area-major.  Its columns are
+        orthonormal, each orthogonal to the design
     eigenvalues : the r selected (positive) eigenvalues, descending
     k_inv : (r, r) prior precision Psi' Q Psi
     k : its inverse, the prior covariance up to the scale parameter
     n_positive : how many positive eigenvalues the operator had in total
     tolerance : relative threshold used to call an eigenvalue positive
-    cells : entries per area L; psi repeats each of its n / L area rows
-        L times (1 for an entry-level basis)
+    cells : entries per area L (1 for an entry-level basis)
+
+    Construction raises ShapeError when these shapes disagree and
+    DomainError unless cells is an int >= 1.
     """
 
-    psi: np.ndarray
+    area_psi: np.ndarray
     eigenvalues: np.ndarray
     k_inv: np.ndarray
     k: np.ndarray
@@ -58,18 +62,25 @@ class MoranBasis:
     tolerance: float
     cells: int = 1
 
+    def __post_init__(self):
+        shape = np.shape(self.area_psi)
+        if len(shape) != 2 or min(shape) < 1:
+            raise ShapeError(f"basis area rows must be (m, r) with m, r >= 1, got {shape}")
+        r = shape[1]
+        for name, want in (("eigenvalues", (r,)), ("k", (r, r)), ("k_inv", (r, r))):
+            got = np.shape(getattr(self, name))
+            if got != want:
+                raise ShapeError(f"basis {name} must be {want}, got {got}")
+        if not isinstance(self.cells, int) or self.cells < 1:
+            raise DomainError(f"basis cells must be an int >= 1, got {self.cells!r}")
+
     @property
     def n(self) -> int:
-        return self.psi.shape[0]
+        return self.area_psi.shape[0] * self.cells
 
     @property
     def r(self) -> int:
-        return self.psi.shape[1]
-
-    @property
-    def area_psi(self) -> np.ndarray:
-        """The n / L area rows of psi, one per area (a view)."""
-        return self.psi[:: self.cells]
+        return self.area_psi.shape[1]
 
 
 def moran_operator(x: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -111,6 +122,17 @@ def moran_operator(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     return (g + g.T) / 2.0
 
 
+def check_basis_request(fraction: float | None, r: int | None) -> None:
+    """Raise DomainError unless at most one of fraction and r is given,
+    fraction in (0, 1] and r >= 1 (the size request ``select_basis`` takes)."""
+    if fraction is not None and r is not None:
+        raise DomainError("give either fraction or r, not both")
+    if fraction is not None and not (0.0 < fraction <= 1.0):
+        raise DomainError(f"fraction must lie in (0, 1], got {fraction}")
+    if r is not None and r < 1:
+        raise DomainError(f"r must be >= 1, got {r}")
+
+
 def select_basis(
     g: np.ndarray, fraction: float | None = None, r: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -138,14 +160,9 @@ def select_basis(
         raise ShapeError("operator must be square")
     if not np.array_equal(g, g.T):
         raise DomainError("operator must be symmetric")
-    if fraction is not None and r is not None:
-        raise DomainError("give either fraction or r, not both")
+    check_basis_request(fraction, r)
     if fraction is None and r is None:
         fraction = DEFAULT_FRACTION
-    if fraction is not None and not (0.0 < fraction <= 1.0):
-        raise DomainError(f"fraction must lie in (0, 1], got {fraction}")
-    if r is not None and r < 1:
-        raise DomainError(f"r must be >= 1, got {r}")
 
     w, v = np.linalg.eigh(g)
     max_abs = float(np.max(np.abs(w))) if w.size else 0.0
@@ -214,14 +231,15 @@ def build_basis(
     an L-cell table, or an n x n entry-level adjacency (L = 1).  The
     eigenpairs (V, lam) of ``moran_operator(x, a)`` lift to Psi =
     V (x) 1_L / sqrt(L) with eigenvalues L lam, and the prior precision
-    Psi' Q Psi of Q = icar_precision(W (x) J_L) is L V' (D_W - W) V, so no
-    n x n matrix is formed for L > 1.
+    Psi' Q Psi of Q = icar_precision(W (x) J_L) is L V' (D_W - W) V.  The
+    basis keeps the area rows V / sqrt(L), so no array with n rows is
+    formed for L > 1.
     """
     v, eigenvalues, n_positive = select_basis(moran_operator(x, a), fraction=fraction, r=r)
     k_inv, k = basis_precision(v, icar_precision(a))
     cells = np.shape(x)[0] // np.shape(a)[0]
     return MoranBasis(
-        psi=np.repeat(v / math.sqrt(cells), cells, axis=0),
+        area_psi=v / math.sqrt(cells),
         eigenvalues=cells * eigenvalues,
         k_inv=cells * k_inv,
         k=k / cells,
@@ -250,9 +268,9 @@ def cache_path(directory: str | Path, key: str) -> Path:
 def save_basis(basis: MoranBasis, directory: str | Path, key: str) -> Path:
     """Persist a basis keyed by the content hash of its inputs.
 
-    The file keeps psi's n / L area rows and L, not the (n, r) psi.  It is
-    written beside its final name and moved into place, so an
-    interrupted save never leaves a partial entry under that name.
+    The file keeps the basis's area rows and L.  It is written beside its
+    final name and moved into place, so an interrupted save never leaves
+    a partial entry under that name.
     """
     path = cache_path(directory, key)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -275,23 +293,23 @@ def save_basis(basis: MoranBasis, directory: str | Path, key: str) -> Path:
 
 
 def load_basis(directory: str | Path, key: str) -> MoranBasis | None:
-    """Load a cached basis, or None when the key is absent or its file
-    unreadable or in an older format (one without ``area_psi``)."""
+    """Load a cached basis as its area rows, or None when the key is absent
+    or its file unreadable, in an older format (one without ``area_psi``)
+    or holding arrays whose shapes disagree."""
     path = cache_path(directory, key)
     if not path.exists():
         return None
     try:
         with np.load(path) as data:
             meta = data["meta"]
-            cells = int(data["cells"])
             return MoranBasis(
-                psi=np.repeat(data["area_psi"], cells, axis=0),
+                area_psi=data["area_psi"],
                 eigenvalues=data["eigenvalues"],
                 k_inv=data["k_inv"],
                 k=data["k"],
                 n_positive=int(meta[0]),
                 tolerance=float(meta[1]),
-                cells=cells,
+                cells=int(data["cells"]),
             )
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
         # a truncated or corrupt entry is a miss: the caller rebuilds and overwrites it

@@ -31,11 +31,19 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .basis import basis_cache_key, build_basis, cache_path, load_basis, save_basis
+from .basis import (
+    basis_cache_key,
+    build_basis,
+    cache_path,
+    check_basis_request,
+    load_basis,
+    save_basis,
+)
 from .design import build_design, read_population_csv
 from .diagnostics import diagnostics_report
 from .errors import AreamixError, ConfigError, DomainError, SchemaError
 from .fh import fit_fh
+from .loess import check_span
 from .mixture import fit_msmm_dp, fit_msmm_truncated
 from .models import MODELS, Model, check_models
 from .msm import fit_msm
@@ -173,9 +181,23 @@ def _write_manifest(
         fh.write("\n")
 
 
+def _basis_request(config: dict) -> tuple[float | None, int | None]:
+    """The basis size request (fraction, r): ``basis_r``, when set, wins."""
+    r = config["basis_r"]
+    return (None if r is not None else config["basis_fraction"]), r
+
+
 def _load_pipeline(config: dict):
-    """Common ingest: table -> imputed log table, design, area adjacency."""
+    """Common ingest: table -> imputed log table, design, area adjacency.
+
+    The basis and GVF settings are checked before any input is read.
+    """
     _require(config, ["tabulation", "adjacency", "population"])
+    try:
+        check_basis_request(*_basis_request(config))
+        check_span(config["gvf_span"])
+    except DomainError as exc:
+        raise ConfigError(f"invalid basis or GVF settings: {exc}") from None
     table = load_tabulation(config["tabulation"], columns=_column_overrides(config))
     log_table = log_transform(table)
     if np.any(~np.isfinite(log_table.d)):
@@ -194,8 +216,7 @@ def _get_basis(config: dict, x, w):
     default fraction and an explicit 0.5 share an entry and another
     ``basis_r`` does not.
     """
-    r = config["basis_r"]
-    fraction = None if r is not None else config["basis_fraction"]
+    fraction, r = _basis_request(config)
     cache_dir = config["basis_cache"]
     key = sha256_bytes(f"{basis_cache_key(x, w)} fraction={fraction!r} r={r!r}".encode())
     if cache_dir:

@@ -60,7 +60,7 @@ def fit_fh(z, d, x, config: FhConfig | None = None) -> FhDraws:
     """
     config = config or FhConfig()
     config.validate()
-    z, d, x, _ = _check_data(z, d, x)
+    z, d, x = _check_data(z, d, x)
     n, p = x.shape
 
     rng = np.random.default_rng(config.seed)

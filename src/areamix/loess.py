@@ -59,6 +59,12 @@ class LoessSmoother:
         return float((swy * swxx - swx * swxy) / denom)
 
 
+def check_span(span: float) -> None:
+    """Raise DomainError unless span, the neighbourhood share, lies in (0, 1]."""
+    if not (0.0 < span <= 1.0):
+        raise DomainError(f"span must lie in (0, 1], got {span}")
+
+
 def loess_fit(x, y, span: float = 0.75) -> LoessSmoother:
     """Fit a tricube-weighted local linear smoother of y on x.
 
@@ -81,8 +87,7 @@ def loess_fit(x, y, span: float = 0.75) -> LoessSmoother:
         raise InsufficientDataError(
             f"smoothing needs at least {MIN_POINTS} points, got {x.size}"
         )
-    if not (0.0 < span <= 1.0):
-        raise DomainError(f"span must lie in (0, 1], got {span}")
+    check_span(span)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise DomainError("smoothing inputs must be finite")
     return LoessSmoother(x=x.copy(), y=y.copy(), span=float(span))

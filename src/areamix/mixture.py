@@ -70,7 +70,7 @@ def cluster_posterior(
     returns the base measure itself: (0, Sigma0).
     """
     members = np.asarray(members, dtype=int).ravel()
-    z, d, u, _ = _check_data(z, d, u)
+    z, d, u = _check_data(z, d, u)
     if u.shape[1] != base.dim:
         raise ShapeError("u must be (n, p + r)")
     if members.size == 0:

@@ -129,8 +129,8 @@ class PosteriorDraws:
         return self.y.shape[0]
 
 
-def _check_data(z, d, x, psi=None):
-    """Coerce and check (z, d, x) and, when given, the (n, r) basis psi."""
+def _check_data(z, d, x):
+    """Coerce and check (z, d, x): n values, n positive variances, an (n, p) design."""
     z = np.asarray(z, dtype=float).ravel()
     d = np.asarray(d, dtype=float).ravel()
     x = np.asarray(x, dtype=float)
@@ -139,15 +139,11 @@ def _check_data(z, d, x, psi=None):
         raise ShapeError("z and d must have the same length")
     if x.ndim != 2 or x.shape[0] != n:
         raise ShapeError("design must be (n, p)")
-    if psi is not None:
-        psi = np.asarray(psi, dtype=float)
-        if psi.ndim != 2 or psi.shape[0] != n:
-            raise ShapeError("basis must be (n, r)")
     if not np.all(np.isfinite(z)):
         raise DomainError("z must be finite")
     if not np.all(np.isfinite(d)) or np.any(d <= 0):
         raise DomainError("all variances d must be finite and positive (impute first)")
-    return z, d, x, psi
+    return z, d, x
 
 
 def _posterior_mean(chol: np.ndarray, lin: np.ndarray) -> np.ndarray:
@@ -274,13 +270,15 @@ class _Rows:
     z sqrt(w)], whose products give the xx block of F and X' D^{-1} z;
     ``area`` = i // L, the area of row i; ``area_psi`` = A, the basis's
     area rows (contiguous), and ``cells`` = L.  The rows are area-major,
-    so ``area`` is nondecreasing.
+    so ``area`` is nondecreasing; the basis must cover them (m L = n).
     """
 
     __slots__ = ("z", "x", "w", "xz_w", "xz_root", "area", "area_psi", "cells")
 
     def __init__(self, z, d, x, basis: MoranBasis):
-        z, d, x, _ = _check_data(z, d, x, basis.psi)
+        z, d, x = _check_data(z, d, x)
+        if basis.n != z.size:
+            raise ShapeError("basis must be (n, r)")
         self.z, self.x, self.w = z, x, 1.0 / d
         xz = np.column_stack([x, z])
         self.xz_w = xz * self.w[:, None]
@@ -414,8 +412,6 @@ def fit_msm(z, d, x, basis: MoranBasis, config: MsmConfig | None = None) -> Post
     config.validate()
     rows = _Rows(z, d, x, basis)
     p, r = rows.p, basis.r
-    if basis.k_inv.shape != (r, r):
-        raise ShapeError("basis precision must be (r, r)")
 
     rng = np.random.default_rng(config.seed)
     base = BaseMeasure.from_basis(basis, p, config.sigma2_beta, 1.0)

@@ -28,6 +28,7 @@ from areamix.mixture import (
     canonicalize_labels,
 )
 from areamix.msm import DrawRecorder, _check_data
+from conftest import entry_psi
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -103,7 +104,7 @@ def crp_assignment_probs(
     ``_cluster_blocks``.  Returns the sorted existing labels and a
     probability vector whose final entry is the new-cluster probability.
     """
-    z, d, u, _ = _check_data(z, d, u)
+    z, d, u = _check_data(z, d, u)
     if u.shape[1] != base.dim:
         raise ShapeError("u must be (n, p + r)")
     if not (0 <= i < assignments.size):
@@ -174,9 +175,9 @@ def fit_collapsed(z, d, x, basis, config: MixtureConfig | None = None) -> Mixtur
     """
     config = config or MixtureConfig()
     config.validate()
-    z, d, x, psi = _check_data(z, d, x, basis.psi)
+    z, d, x = _check_data(z, d, x)
     n, p = x.shape
-    u = np.hstack([x, psi])
+    u = np.hstack([x, entry_psi(basis)])
 
     rng = np.random.default_rng(config.seed)
     assignments = np.zeros(n, dtype=int)

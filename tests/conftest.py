@@ -31,6 +31,12 @@ def small_inputs(small_study):
     return study, x, a, basis
 
 
+def entry_psi(basis) -> np.ndarray:
+    """The (n, r) entry-level Psi of U = [X, Psi]: each area row of the basis
+    repeated over the area's L cells."""
+    return np.repeat(basis.area_psi, basis.cells, axis=0)
+
+
 def random_connected_adjacency(m: int, rng: np.random.Generator) -> np.ndarray:
     # random spanning tree, then a few extra edges so cycles appear
     a = np.zeros((m, m))

@@ -46,7 +46,7 @@ from areamix.synthetic import grid_graph, two_field_study
 from areamix.tabulation import LogTable, back_transform
 
 from collapsed_reference import crp_assignment_probs
-from conftest import random_connected_adjacency
+from conftest import entry_psi, random_connected_adjacency
 from test_loess import wls_oracle
 from test_msm import joint_gaussian_condition
 
@@ -121,7 +121,7 @@ def test_01_msm_conjugacy():
     prior_cov = np.zeros((4, 4))
     prior_cov[:2, :2] = sigma2_beta * np.eye(2)
     prior_cov[2:, 2:] = sigma2_eta * basis.k
-    mean_exact, cov_exact = joint_gaussian_condition(prior_cov, np.hstack([x, basis.psi]), d, z)
+    mean_exact, cov_exact = joint_gaussian_condition(prior_cov, np.hstack([x, entry_psi(basis)]), d, z)
 
     worst = _three_mcse_gap(theta, mean_exact, cov_exact)
     elapsed = time.monotonic() - start
@@ -176,20 +176,21 @@ def test_03_basis_correctness():
         x = np.ones((a.shape[0], 1))
         q = icar_precision(a)
         basis = build_basis(x, a, fraction=0.5)
+        psi = entry_psi(basis)
 
-        worst_design = max(worst_design, float(np.max(np.abs(basis.psi.T @ x))))
+        worst_design = max(worst_design, float(np.max(np.abs(psi.T @ x))))
         worst_orth = max(
             worst_orth,
-            float(np.max(np.abs(basis.psi.T @ basis.psi - np.eye(basis.r)))),
+            float(np.max(np.abs(psi.T @ psi - np.eye(basis.r)))),
         )
         min_eig = min(min_eig, float(np.linalg.eigvalsh(basis.k_inv).min()))
 
-        target = np.linalg.norm(q - basis.psi @ basis.k_inv @ basis.psi.T, ord="fro")
+        target = np.linalg.norm(q - psi @ basis.k_inv @ psi.T, ord="fro")
         for _ in range(50):
             e = rng_perturb.normal(size=basis.k_inv.shape)
             e = (e + e.T) / 2.0
             e *= 0.01 / np.linalg.norm(e, ord="fro")
-            moved = np.linalg.norm(q - basis.psi @ (basis.k_inv + e) @ basis.psi.T, ord="fro")
+            moved = np.linalg.norm(q - psi @ (basis.k_inv + e) @ psi.T, ord="fro")
             optimal &= moved >= target
 
     ok = worst_design < 1e-8 and worst_orth < 1e-8 and min_eig > 0 and optimal

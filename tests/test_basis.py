@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from areamix.basis import (
 )
 from areamix.synthetic import grid_graph, two_field_study
 
-from conftest import random_connected_adjacency
+from conftest import entry_psi, random_connected_adjacency
 
 
 def projector_oracle(x, a):
@@ -186,21 +187,42 @@ class TestBasisPrecision:
             basis_precision(np.zeros((4, 2)), np.eye(3))
 
 
+class TestMoranBasisChecks:
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("area_psi", lambda r: np.zeros(r), ShapeError),
+            ("area_psi", lambda r: np.zeros((4, 0)), ShapeError),
+            ("eigenvalues", lambda r: np.ones(r + 1), ShapeError),
+            ("k", lambda r: np.eye(r + 1), ShapeError),
+            ("k_inv", lambda r: np.eye(r)[:, :-1], ShapeError),
+            ("cells", lambda r: 0, DomainError),
+            ("cells", lambda r: 2.0, DomainError),
+        ],
+        ids=["area_psi_1d", "area_psi_empty", "eigenvalues", "k", "k_inv", "cells_0", "cells_float"],
+    )
+    def test_disagreeing_fields_are_rejected(self, small_inputs, field, value, error):
+        basis = small_inputs[3]
+        with pytest.raises(error):
+            replace(basis, **{field: value(basis.r)})
+
+
 class TestBuildBasis:
     def test_contract_on_synthetic_grid(self, small_inputs):
         _, x, a, basis = small_inputs
         r = basis.r
         assert 1 <= r <= basis.n_positive
-        assert basis.psi.shape == (x.shape[0], r)
-        assert np.max(np.abs(basis.psi.T @ x)) < 1e-8
-        assert np.allclose(basis.psi.T @ basis.psi, np.eye(r), atol=1e-8)
+        psi = entry_psi(basis)
+        assert psi.shape == (x.shape[0], r)
+        assert np.max(np.abs(psi.T @ x)) < 1e-8
+        assert np.allclose(psi.T @ psi, np.eye(r), atol=1e-8)
         assert np.all(np.diff(basis.eigenvalues) <= 0)
 
     def test_fraction_default_is_half(self, small_inputs):
         _, x, a, basis = small_inputs
         explicit = build_basis(x, a, fraction=0.5)
         assert explicit.r == basis.r
-        assert np.array_equal(explicit.psi, basis.psi)
+        assert np.array_equal(entry_psi(explicit), entry_psi(basis))
 
     def test_explicit_r(self, small_inputs):
         _, x, a, _ = small_inputs
@@ -249,14 +271,15 @@ class TestAreaLevelBasis:
                 area = build_basis(x, w, fraction=fraction)
                 dense = build_basis(x, a, fraction=fraction)
                 assert (area.n_positive, area.r) == (dense.n_positive, dense.r)
-                assert area.psi.shape == dense.psi.shape
+                area_psi, dense_psi = entry_psi(area), entry_psi(dense)
+                assert area_psi.shape == dense_psi.shape
                 assert np.allclose(area.eigenvalues, dense.eigenvalues, rtol=1e-12, atol=0.0)
                 assert np.allclose(
-                    area.psi @ area.psi.T, dense.psi @ dense.psi.T, rtol=0.0, atol=1e-8
+                    area_psi @ area_psi.T, dense_psi @ dense_psi.T, rtol=0.0, atol=1e-8
                 )
-                smooth = dense.psi @ dense.k @ dense.psi.T
+                smooth = dense_psi @ dense.k @ dense_psi.T
                 assert np.allclose(
-                    area.psi @ area.k @ area.psi.T,
+                    area_psi @ area.k @ area_psi.T,
                     smooth,
                     rtol=0.0,
                     atol=1e-8 * np.max(np.abs(smooth)),
@@ -272,7 +295,7 @@ class TestAreaLevelBasis:
             with pytest.raises(DomainError, match="entry-level adjacency"):
                 build_basis(x, w)
             dense = build_basis(x, expand_multivariate(w, n_cells))
-            assert np.max(np.abs(dense.psi.T @ x)) < 1e-8
+            assert np.max(np.abs(entry_psi(dense).T @ x)) < 1e-8
 
     def test_rows_must_be_a_multiple_of_areas(self):
         rng = np.random.default_rng(74)
@@ -284,8 +307,9 @@ class TestAreaLevelBasis:
         with pytest.raises(ShapeError):
             moran_operator(np.ones((12, 1)), np.zeros((6, 4)))
 
-    def test_national_layout_forms_no_entry_matrix(self):
-        # side 30, ten cells: one n x n float64 array would be 648 MB
+    def test_national_layout_forms_no_entry_matrix(self, tmp_path):
+        # side 30, ten cells: one n x n float64 array would be 648 MB; the
+        # basis, built or loaded, holds its m area rows and no n-row array
         study = two_field_study(30, 30, 10, seed=0)
         x, _ = build_design(study.truth, study.population)
         w = build_adjacency(study.areas, study.edges)
@@ -296,8 +320,18 @@ class TestAreaLevelBasis:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert basis.psi.shape == (n, basis.r)
+        assert (basis.n, basis.area_psi.shape) == (n, (n // 10, basis.r))
+        assert all(np.shape(getattr(basis, f.name))[:1] != (n,) for f in fields(basis))
         assert peak < n * n * 8 / 10
+        save_basis(basis, tmp_path, "b" * 64)
+        tracemalloc.start()
+        try:
+            loaded = load_basis(tmp_path, "b" * 64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.area_psi, basis.area_psi)
+        assert peak < n * basis.r * 8 / 4
 
 
 class TestFrobeniusTarget:
@@ -305,7 +339,8 @@ class TestFrobeniusTarget:
         # || Psi' Q Psi - K ||_F over K is exactly minimised at K = k_inv
         _, _, a, basis = small_inputs
         q = icar_precision(a)
-        target = basis.psi.T @ q @ basis.psi
+        psi = entry_psi(basis)
+        target = psi.T @ q @ psi
         base = np.linalg.norm(target - basis.k_inv, ord="fro")
         rng = np.random.default_rng(17)
         for _ in range(25):
@@ -323,7 +358,7 @@ class TestCache:
         save_basis(basis, tmp_path, key)
         loaded = load_basis(tmp_path, key)
         assert loaded is not None
-        assert np.array_equal(loaded.psi, basis.psi)
+        assert np.array_equal(entry_psi(loaded), entry_psi(basis))
         assert np.array_equal(loaded.k_inv, basis.k_inv)
         assert np.array_equal(loaded.k, basis.k)
         assert np.array_equal(loaded.eigenvalues, basis.eigenvalues)
@@ -344,7 +379,7 @@ class TestCache:
             assert "psi" not in data
         loaded = load_basis(tmp_path, "a" * 64)
         assert loaded.cells == n_cells
-        assert np.array_equal(loaded.psi, basis.psi)
+        assert np.array_equal(entry_psi(loaded), entry_psi(basis))
         assert np.array_equal(loaded.k_inv, basis.k_inv)
         assert np.array_equal(loaded.k, basis.k)
         assert np.array_equal(loaded.eigenvalues, basis.eigenvalues)
@@ -355,7 +390,7 @@ class TestCache:
         key = basis_cache_key(x, a)
         with open(cache_path(tmp_path, key), "wb") as fh:
             np.savez(
-                fh, psi=basis.psi, eigenvalues=basis.eigenvalues, k_inv=basis.k_inv,
+                fh, psi=entry_psi(basis), eigenvalues=basis.eigenvalues, k_inv=basis.k_inv,
                 k=basis.k, meta=np.array([float(basis.n_positive), basis.tolerance]),
             )
         assert load_basis(tmp_path, key) is None

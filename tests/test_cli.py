@@ -221,7 +221,10 @@ class TestBasisCache:
         assert default["from_cache"] is False
         assert (half["from_cache"], half["cache_file"]) == (True, default["cache_file"])
 
-    def test_truncated_entry_is_rebuilt(self, fixture10, tmp_path):
+    @staticmethod
+    def check_damaged_entry_is_rebuilt(fixture10, tmp_path, damage):
+        """A fit whose cache entry ``damage`` rewrote rebuilds the entry, byte
+        for byte, and predicts what the cold fit did."""
         cache = tmp_path / "cache"
         cfg = fit_config(
             fixture10, tmp_path, model="msm", basis_cache=str(cache), iterations=60, burn_in=20
@@ -229,12 +232,29 @@ class TestBasisCache:
         assert main(["fit", str(cfg), "--out", str(tmp_path / "cold")]) == 0
         (entry,) = cache.iterdir()
         whole = entry.read_bytes()
-        entry.write_bytes(whole[:300])
+        damage(entry)
         assert main(["fit", str(cfg), "--out", str(tmp_path / "rebuilt")]) == 0
         cold = (tmp_path / "cold" / "predictions.csv").read_bytes()
         assert (tmp_path / "rebuilt" / "predictions.csv").read_bytes() == cold
         assert list(cache.iterdir()) == [entry]
         assert entry.read_bytes() == whole
+
+    def test_truncated_entry_is_rebuilt(self, fixture10, tmp_path):
+        def truncate(entry):
+            entry.write_bytes(entry.read_bytes()[:300])
+
+        self.check_damaged_entry_is_rebuilt(fixture10, tmp_path, truncate)
+
+    def test_entry_with_wrong_size_k_is_rebuilt(self, fixture10, tmp_path):
+        # a readable entry whose k disagrees with its area rows
+        def grow_k(entry):
+            with np.load(entry) as data:
+                arrays = dict(data)
+            arrays["k"] = np.eye(arrays["k"].shape[0] + 1)
+            with open(entry, "wb") as fh:
+                np.savez(fh, **arrays)
+
+        self.check_damaged_entry_is_rebuilt(fixture10, tmp_path, grow_k)
 
 
 class TestSimulateCommand:
@@ -408,6 +428,27 @@ class TestSettingsBeforeInput:
         err = capsys.readouterr().err
         assert "config error" in err
         assert "sigma2_beta must be finite and positive" in err
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            (dict(basis_fraction=1.5), "fraction must lie in (0, 1]"),
+            (dict(basis_r=0), "r must be >= 1"),
+            (dict(gvf_span=2), "span must lie in (0, 1]"),
+        ],
+        ids=["basis_fraction", "basis_r", "gvf_span"],
+    )
+    def test_fit_basis_or_gvf_setting_reads_no_input(
+        self, fixture10, tmp_path, monkeypatch, capsys, setting, message
+    ):
+        calls: list = []
+        spy(monkeypatch, calls, cli, "load_tabulation")
+        cfg = fit_config(fixture10, tmp_path, **setting)
+        assert main(["fit", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert message in err
         assert calls == []
 
     def test_simulate_unknown_model_reads_no_input(self, fixture10, tmp_path, monkeypatch, capsys):

@@ -15,6 +15,7 @@ from areamix import (
     MixtureConfig,
     MoranBasis,
     MsmConfig,
+    ShapeError,
     build_adjacency,
     build_basis,
     build_design,
@@ -39,6 +40,7 @@ from collapsed_reference import (
     shift_row,
     update_alpha_escobar_west,
 )
+from conftest import entry_psi
 from test_msm import joint_gaussian_condition, random_area_inputs
 
 
@@ -406,10 +408,11 @@ def run_assign(seed, z, d, u, theta, log_prior, cells=1):
     ``spread`` TILES times, with u = [x, psi] and one column of x.  At
     cells = TILES each row is an area of TILES entries, so the psi part of
     its means is formed on the area rows and repeated."""
-    psi = spread(u[:, 1:], cells)
-    r = psi.shape[1]
+    # the area rows: the table's TILES copies (cells = 1) or its rows once
+    area_psi = spread(u[:, 1:]) if cells == 1 else u[:, 1:]
+    r = area_psi.shape[1]
     basis = MoranBasis(
-        psi=psi, eigenvalues=np.ones(r), k_inv=np.eye(r), k=np.eye(r),
+        area_psi=area_psi, eigenvalues=np.ones(r), k_inv=np.eye(r), k=np.eye(r),
         n_positive=r, tolerance=1e-10, cells=cells,
     )
     rows = mixture._Rows(spread(z, cells), spread(d, cells), spread(u[:, :1], cells), basis)
@@ -491,6 +494,15 @@ class TestAssign:
         assert events == [e for t in range(12) for e in ("assign", t)]
 
 
+@pytest.mark.parametrize(
+    "fit", [fit_msm, fit_msmm_truncated, fit_msmm_dp], ids=["msm", "truncated", "dp"]
+)
+def test_wrong_size_kernel_is_a_shape_error(small_inputs, fit):
+    study, x, _, basis = small_inputs
+    with pytest.raises(ShapeError, match="basis k must be"):
+        fit(study.truth.z, study.truth.d, x, replace(basis, k=np.eye(basis.r + 1)))
+
+
 @pytest.mark.parametrize("cells", [1, 3])
 def test_y_formed_on_area_rows(cells):
     # the recorded y_i = u_i' theta_{c_i}, with its psi part formed on the
@@ -501,7 +513,7 @@ def test_y_formed_on_area_rows(cells):
     c = rng.integers(4, size=z.size)
     draws = mixture.DrawRecorder(MixtureConfig(iterations=1, burn_in=0))
     mixture._record(draws, 0, mixture._Rows(z, d, x, basis), theta, c, 1.0, 1.0, 4)
-    want = np.einsum("ij,ij->i", np.hstack([x, basis.psi]), theta[c])
+    want = np.einsum("ij,ij->i", np.hstack([x, entry_psi(basis)]), theta[c])
     assert np.linalg.norm(draws.columns["y"][0] - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -700,7 +712,7 @@ def blank_inputs(small_inputs):
     study = small_inputs[0]
     n = study.truth.n_rows
     basis = MoranBasis(
-        psi=np.zeros((n, 1)), eigenvalues=np.ones(1), k_inv=np.eye(1), k=np.eye(1),
+        area_psi=np.zeros((n, 1)), eigenvalues=np.ones(1), k_inv=np.eye(1), k=np.eye(1),
         n_positive=1, tolerance=1e-10,
     )
     return study.truth.z, study.truth.d, np.zeros((n, 1)), basis

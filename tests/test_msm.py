@@ -19,6 +19,8 @@ from areamix import (
 )
 from areamix.synthetic import two_field_study
 
+from conftest import entry_psi
+
 
 def joint_gaussian_condition(prior_cov, design, noise_var, obs):
     """Posterior of theta ~ N(0, prior_cov) given obs = design theta + noise.
@@ -50,7 +52,7 @@ def random_area_inputs(rng, m, cells, p=3, r=4):
     n = m * cells
     area, _ = np.linalg.qr(rng.normal(size=(m, r)))
     basis = MoranBasis(
-        psi=np.repeat(area / np.sqrt(cells), cells, axis=0), eigenvalues=np.ones(r),
+        area_psi=area / np.sqrt(cells), eigenvalues=np.ones(r),
         k_inv=np.eye(r), k=np.eye(r), n_positive=r, tolerance=1e-10, cells=cells,
     )
     x = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
@@ -61,7 +63,7 @@ def check_component_sums(rng, z, d, x, basis, m_comp=6, partitions=4):
     """``_component_sums`` against ``_ClusterStats``'s row sums, to 1e-12
     relative, on random partitions that leave components 1, 4 and 5 empty."""
     rows = msm._Rows(z, d, x, basis)
-    u = np.hstack([x, basis.psi])
+    u = np.hstack([x, entry_psi(basis)])
     for _ in range(partitions):
         c = rng.choice([0, 2, 3], size=z.size)
         sums = list(msm._component_sums(rows, c, m_comp))
@@ -127,7 +129,7 @@ class TestFitMsm:
         for study, x, basis in ((study, x, basis), area_level_inputs()):
             cfg = MsmConfig(iterations=30, burn_in=10, seed=4)
             fit = fit_msm(study.truth.z, study.truth.d, x, basis, cfg)
-            rebuilt = fit.beta @ x.T + fit.eta @ basis.psi.T
+            rebuilt = fit.beta @ x.T + fit.eta @ entry_psi(basis).T
             assert np.allclose(fit.y, rebuilt, rtol=1e-12)
 
     def test_deterministic_in_seed(self, small_inputs):
@@ -183,7 +185,7 @@ class TestFitMsm:
         )
         fit = fit_msm(study.truth.z, study.truth.d, x, basis, cfg)
         p = x.shape[1]
-        design = np.hstack([x, basis.psi])
+        design = np.hstack([x, entry_psi(basis)])
         prior = np.zeros((design.shape[1], design.shape[1]))
         prior[:p, :p] = 10.0 * np.eye(p)
         prior[p:, p:] = sigma2_eta * basis.k
@@ -204,7 +206,7 @@ class TestSharedAtomKernel:
         # variances that differ within each area
         z, d, x, basis = random_area_inputs(np.random.default_rng(40 + cells), 7, cells)
         f, g = msm._data_precision(msm._Rows(z, d, x, basis))
-        rows = msm._ClusterStats(slice(None), z, d, np.hstack([x, basis.psi]))
+        rows = msm._ClusterStats(slice(None), z, d, np.hstack([x, entry_psi(basis)]))
         assert np.linalg.norm(f - rows.f) <= 1e-12 * np.linalg.norm(rows.f)
         assert np.linalg.norm(g - rows.g) <= 1e-12 * np.linalg.norm(rows.g)
 
@@ -234,7 +236,7 @@ class TestSharedAtomKernel:
         f, g = msm._data_precision(msm._Rows(z, d, x, basis))
         mu, v, t = msm._diagonalise(f, g, BaseMeasure.from_basis(basis, p, 10.0, 1.0))
         assert np.all((mu >= 0.0) & (mu <= 1.0))
-        u = np.hstack([x, basis.psi])
+        u = np.hstack([x, entry_psi(basis)])
         for sigma2_eta in (1e-4, 1e-2, 1.0, 50.0, 1e4):
             s = msm._pencil_scales(mu, sigma2_eta)
             base = BaseMeasure.from_basis(basis, p, 10.0, sigma2_eta)
@@ -247,7 +249,7 @@ class TestSharedAtomKernel:
         study, x, _, basis = small_inputs
         r = basis.r
         broken = MoranBasis(
-            psi=basis.psi, eigenvalues=basis.eigenvalues, k_inv=-100.0 * np.eye(r),
+            area_psi=basis.area_psi, eigenvalues=basis.eigenvalues, k_inv=-100.0 * np.eye(r),
             k=-0.01 * np.eye(r), n_positive=basis.n_positive, tolerance=basis.tolerance,
         )
         with pytest.raises(DefinitenessError) as caught:
@@ -266,7 +268,7 @@ class TestSharedAtomKernel:
         fit = fit_msm(z, d, x, basis, cfg)
         p = x.shape[1]
         base = BaseMeasure.from_basis(basis, p, 10.0, sigma2_eta)
-        u = np.hstack([x, basis.psi])
+        u = np.hstack([x, entry_psi(basis)])
         want_mean, _ = cluster_posterior(np.arange(z.size), z, d, u, base)
         got_mean = np.concatenate([fit.beta.mean(axis=0), fit.eta.mean(axis=0)])
         assert np.allclose(got_mean, want_mean, atol=0.08)
