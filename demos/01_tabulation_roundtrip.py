@@ -18,20 +18,20 @@ from areamix.synthetic import study_table, two_field_study
 study = two_field_study(4, 4, 3, seed=3)
 table = study_table(study, seed=9)
 
-workdir = Path(tempfile.mkdtemp(prefix="areamix_demo_"))
-csv_path = workdir / "tabulation.csv"
-# sample sizes let the smoother key on log(n) instead of the estimate itself
-rng = np.random.default_rng(4)
-sizes = rng.integers(30, 900, size=table.n_rows)
-lines = ["state,county,order,count,std_err,sample_size"]
-for row, (area, cell) in enumerate(table.keys()):
-    lines.append(
-        f"{area[:2]},{area[2:]},{cell},{table.estimates[row]},{table.std_errors[row]},{sizes[row]}"
-    )
-csv_path.write_text("\n".join(lines) + "\n")
-print(f"wrote {csv_path} ({len(lines) - 1} rows)")
+with tempfile.TemporaryDirectory(prefix="areamix_demo_") as workdir:
+    csv_path = Path(workdir) / "tabulation.csv"
+    # sample sizes let the smoother key on log(n) instead of the estimate itself
+    rng = np.random.default_rng(4)
+    sizes = rng.integers(30, 900, size=table.n_rows)
+    lines = ["state,county,order,count,std_err,sample_size"]
+    for row, (area, cell) in enumerate(table.keys()):
+        lines.append(
+            f"{area[:2]},{area[2:]},{cell},{table.estimates[row]},{table.std_errors[row]},{sizes[row]}"
+        )
+    csv_path.write_text("\n".join(lines) + "\n")
+    print(f"wrote {csv_path} ({len(lines) - 1} rows)")
 
-loaded = load_tabulation(csv_path)
+    loaded = load_tabulation(csv_path)
 log_table = log_transform(loaded)
 undefined = np.flatnonzero(~np.isfinite(log_table.d))
 print(f"{undefined.size} rows have no usable sampling variance:")

@@ -61,9 +61,9 @@ print(f"K^-1 eigenvalue range: [{k_inv_eigs.min():.3f}, {k_inv_eigs.max():.3f}]"
 
 # eigendecompositions of large operators are worth caching; the key is a
 # digest of the exact design and adjacency bytes
-cache_dir = tempfile.mkdtemp(prefix="areamix_basis_")
-key = basis_cache_key(x, a)
-path = save_basis(basis, cache_dir, key)
-print(f"cached as {path.name}")
-reloaded = load_basis(cache_dir, key)
-print("cache round trip exact:", np.array_equal(reloaded.area_psi, basis.area_psi))
+with tempfile.TemporaryDirectory(prefix="areamix_basis_") as cache_dir:
+    key = basis_cache_key(x, a)
+    path = save_basis(basis, cache_dir, key)
+    print(f"cached as {path.name}")
+    reloaded = load_basis(cache_dir, key)
+    print("cache round trip exact:", np.array_equal(reloaded.area_psi, basis.area_psi))

@@ -25,10 +25,18 @@ class LoessSmoother:
     span: float
 
     def __call__(self, x_new) -> np.ndarray:
+        """The smoothed value at each point of ``x_new`` (a float for a scalar).
+
+        Each distinct clamped point is smoothed once and its value shared by
+        every query at it.  Repeats are the common case: a variance repair
+        without sample sizes queries at z = log(0 + 1) = 0 for every zero
+        count, and clamping sends every query past either end of the range
+        to that end.
+        """
         pts = np.atleast_1d(np.asarray(x_new, dtype=float))
         lo, hi = float(self.x.min()), float(self.x.max())
-        clamped = np.clip(pts, lo, hi)
-        out = np.array([self._predict_one(float(p)) for p in clamped])
+        points, inverse = np.unique(np.clip(pts, lo, hi), return_inverse=True)
+        out = np.array([self._predict_one(float(p)) for p in points], dtype=float)[inverse]
         if np.isscalar(x_new) or np.asarray(x_new).ndim == 0:
             return float(out[0])
         return out

@@ -38,7 +38,7 @@ def build_adjacency(areas: Sequence[str], edges: Sequence[tuple[str, str]]) -> n
     index = {a: i for i, a in enumerate(areas)}
     if len(index) != m:
         raise DomainError("area identifiers must be unique")
-    w = np.zeros((m, m))
+    rows, cols = [], []
     for a, b in edges:
         if a not in index:
             raise UnknownAreaError(f"edge references unknown area {a!r}")
@@ -46,12 +46,16 @@ def build_adjacency(areas: Sequence[str], edges: Sequence[tuple[str, str]]) -> n
             raise UnknownAreaError(f"edge references unknown area {b!r}")
         if a == b:
             raise DomainError(f"self-loop on area {a!r}")
-        i, j = index[a], index[b]
-        w[i, j] = 1.0
-        w[j, i] = 1.0
+        rows.append(index[a])
+        cols.append(index[b])
+    w = np.zeros((m, m))
+    w[rows, cols] = 1.0
+    w[cols, rows] = 1.0
     # a disconnected graph is usable (each component smooths on its own)
-    # but often signals missing edges, so it is worth flagging here
-    n_components = int(connected_components(w).max()) + 1
+    # but often signals missing edges, so it is worth flagging here; the
+    # components come from the edges, each read in both directions
+    edge_graph = csr_array((np.ones(len(rows)), (rows, cols)), shape=(m, m))
+    n_components = csgraph.connected_components(edge_graph, directed=False)[0]
     if n_components > 1:
         warnings.warn(
             f"adjacency graph has {n_components} connected components",

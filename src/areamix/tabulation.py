@@ -9,6 +9,7 @@ index of (area i, cell s) is i * L + (s - 1).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -109,7 +110,9 @@ def load_tabulation(
         names above.
 
     The area identifier is the concatenation of the state and county
-    codes, kept as strings so leading zeros survive.
+    codes, kept as strings so leading zeros survive.  Names and fields are
+    read with surrounding whitespace stripped.  A row may stop short of
+    the header (its missing fields read as blank) but may not run past it.
     """
     names = dict(DEFAULT_COLUMNS)
     if columns:
@@ -120,46 +123,59 @@ def load_tabulation(
 
     rows: dict[tuple[str, int], tuple[float, float, float | None]] = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None:
             raise SchemaError(f"{path}: empty file")
-        header = [h.strip() for h in reader.fieldnames]
-        required = ["state", "county", "order", "count", "std_err"]
+        header = [h.strip() for h in first]
+        required = ("state", "county", "order", "count", "std_err")
         for role in required:
             if names[role] not in header:
                 raise SchemaError(f"{path}: missing column {names[role]!r}")
-        has_n = names["sample_size"] in header
-        for lineno, raw in enumerate(reader, start=2):
-            rec = {k.strip(): (v.strip() if v is not None else "") for k, v in raw.items()}
-            state = rec[names["state"]]
-            county = rec[names["county"]]
+        # a repeated header name reads its last column
+        position = {name: i for i, name in enumerate(header)}
+        fields = [position[names[role]] for role in required]
+        n_field = position.get(names["sample_size"])
+        width = len(header)
+        lineno = 1  # a row's number counts the header and the nonblank rows up to it
+        for raw in reader:
+            if not raw:
+                continue
+            lineno += 1
+            if len(raw) > width:
+                raise SchemaError(
+                    f"{path}:{lineno}: {len(raw)} fields, but the header names {width}"
+                )
+            if len(raw) < width:
+                raw += [""] * (width - len(raw))  # missing trailing fields read as blank
+            state, county, order, count, std_err = (raw[i].strip() for i in fields)
             if not state or not county:
                 raise SchemaError(f"{path}:{lineno}: blank state or county code")
             area = state + county
             try:
-                cell = int(rec[names["order"]])
+                cell = int(order)
             except ValueError:
                 raise SchemaError(
-                    f"{path}:{lineno}: cell index {rec[names['order']]!r} is not an integer"
+                    f"{path}:{lineno}: cell index {order!r} is not an integer"
                 ) from None
             if cell < 1:
                 raise SchemaError(f"{path}:{lineno}: cell index must be >= 1")
             try:
-                est = float(rec[names["count"]])
-                se = float(rec[names["std_err"]])
+                est = float(count)
+                se = float(std_err)
             except ValueError:
                 raise SchemaError(f"{path}:{lineno}: non-numeric count or std_err") from None
-            if not (np.isfinite(est) and np.isfinite(se)):
+            if not (math.isfinite(est) and math.isfinite(se)):
                 raise DomainError(f"{path}:{lineno}: count and std_err must be finite")
             if est < 0 or se < 0:
                 raise DomainError(f"{path}:{lineno}: negative count or std_err")
             nsz: float | None = None
-            if has_n:
+            if n_field is not None:
                 try:
-                    nsz = float(rec[names["sample_size"]])
+                    nsz = float(raw[n_field].strip())
                 except ValueError:
                     raise SchemaError(f"{path}:{lineno}: non-numeric sample_size") from None
-                if not np.isfinite(nsz) or nsz <= 0:
+                if not math.isfinite(nsz) or nsz <= 0:
                     raise DomainError(f"{path}:{lineno}: sample_size must be positive")
             key = (area, cell)
             if key in rows:
@@ -171,29 +187,20 @@ def load_tabulation(
 
     areas = tuple(sorted({a for a, _ in rows}))
     n_cells = max(c for _, c in rows)
+    entries = []  # area-major
     for a in areas:
-        missing = [c for c in range(1, n_cells + 1) if (a, c) not in rows]
-        if missing:
+        cells = [rows.get((a, s)) for s in range(1, n_cells + 1)]
+        if None in cells:
+            missing = [s for s, entry in enumerate(cells, start=1) if entry is None]
             raise SchemaError(f"{path}: area {a} lacks cells {missing}")
-
-    n = len(areas) * n_cells
-    est = np.empty(n)
-    se = np.empty(n)
-    nsz_arr = np.empty(n) if has_n else None
-    for i, a in enumerate(areas):
-        for s in range(1, n_cells + 1):
-            e, sdev, ns = rows[(a, s)]
-            flat = i * n_cells + (s - 1)
-            est[flat] = e
-            se[flat] = sdev
-            if nsz_arr is not None:
-                nsz_arr[flat] = ns
+        entries.extend(cells)
+    est, se, nsz = zip(*entries)
     return TabulationTable(
         areas=areas,
         n_cells=n_cells,
-        estimates=est,
-        std_errors=se,
-        sample_sizes=nsz_arr,
+        estimates=np.array(est, dtype=float),
+        std_errors=np.array(se, dtype=float),
+        sample_sizes=None if n_field is None else np.array(nsz, dtype=float),
     )
 
 
@@ -241,7 +248,10 @@ def gvf_impute(log_table: LogTable, span: float = 0.75) -> LogTable:
     A local-linear tricube smoother of variance on a size predictor plays
     the role of a generalised variance function.  The predictor is log
     sample size when the table has one, otherwise z itself.  Smoothed
-    values are clipped below at IMPUTATION_FLOOR.
+    values are clipped below at IMPUTATION_FLOOR.  Each distinct predictor
+    value is smoothed once: without sample sizes every zero-count entry
+    sits at z = 0, which clamps to the smallest defined z, so one smoother
+    evaluation serves them all.
     """
     d = log_table.d
     defined = np.isfinite(d)

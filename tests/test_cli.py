@@ -299,6 +299,16 @@ class TestErrorExits:
         assert main(["fit", str(cfg), "--out", str(tmp_path / 'x')]) == 3
         assert "data error" in capsys.readouterr().err
 
+    def test_row_longer_than_header_is_data_error(self, fixture10, tmp_path, capsys):
+        lines = (fixture10 / "tabulation.csv").read_text().splitlines()
+        lines[3] += ",1"
+        bad = write_csv(tmp_path / "bad.csv", "\n".join(lines) + "\n")
+        cfg = fit_config(fixture10, tmp_path, tabulation=bad)
+        assert main(["fit", str(cfg), "--out", str(tmp_path / "x")]) == 3
+        assert capsys.readouterr().err == (
+            f"areamix: data error: {bad}:4: 7 fields, but the header names 6\n"
+        )
+
     def test_numerical_failure_exit(self, tmp_path, capsys):
         # two areas, one cell: the design absorbs everything and no
         # positive-eigenvalue directions survive

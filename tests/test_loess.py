@@ -100,3 +100,55 @@ class TestValidation:
     def test_length_mismatch(self):
         with pytest.raises(DomainError):
             loess_fit(np.arange(8.0), np.arange(7.0))
+
+
+class TestOneEvaluationPerPoint:
+    @pytest.fixture
+    def evaluations(self, monkeypatch) -> list:
+        """The points at which LoessSmoother._predict_one runs, in order."""
+        points = []
+        real = LoessSmoother._predict_one
+
+        def spy(self, x0):
+            points.append(x0)
+            return real(self, x0)
+
+        monkeypatch.setattr(LoessSmoother, "_predict_one", spy)
+        return points
+
+    def test_each_distinct_clamped_query_once(self, evaluations):
+        rng = np.random.default_rng(11)
+        x = rng.uniform(-1.0, 3.0, size=30)
+        smoother = loess_fit(x, np.cos(x) + rng.normal(0.0, 0.1, size=30), span=0.5)
+        # repeats, queries past both ends, and both signed zeros
+        queries = np.array([0.5, -0.0, 9.0, 0.5, x[3], 0.0, -7.0, 12.0, x[3], -2.0, 0.5])
+        got = smoother(queries)
+        clamped = np.clip(queries, x.min(), x.max())
+        assert sorted(evaluations) == np.unique(clamped).tolist()
+        expected = np.array([LoessSmoother._predict_one(smoother, float(q)) for q in clamped])
+        assert got.dtype == float
+        assert np.array_equal(got, expected)
+
+    def test_empty_and_scalar_queries(self, evaluations):
+        smoother = loess_fit(np.arange(8.0), np.arange(8.0) ** 2)
+        empty = smoother(np.array([]))
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,) and empty.dtype == float
+        assert evaluations == []
+        value = smoother(2.5)
+        assert type(value) is float
+        assert value == smoother(np.array([2.5]))[0]
+
+    def test_gvf_impute_smooths_zero_counts_once(self, evaluations):
+        # no sample sizes: every zero count sits at z = 0 and clamps to the
+        # smallest defined z
+        from areamix import gvf_impute, log_transform
+        from areamix.tabulation import TabulationTable
+
+        est = np.array([0.0, 12.0, 40.0, 0.0, 7.0, 300.0, 0.0, 95.0, 3.0, 0.0])
+        se = np.where(est > 0, 0.2 * est + 1.0, 0.0)
+        areas = tuple(f"19{i:03d}" for i in range(est.size))
+        table = TabulationTable(areas=areas, n_cells=1, estimates=est, std_errors=se)
+        filled = gvf_impute(log_transform(table))
+        assert len(evaluations) == 1
+        assert np.count_nonzero(filled.imputed) == 4
+        assert len(set(filled.d[filled.imputed].tolist())) == 1

@@ -133,6 +133,66 @@ class TestLoadTabulation:
             load_tabulation("/nonexistent/tab.csv")
 
 
+HEADER = "state,county,order,count,std_err\n"
+SIZED = "state,county,order,count,std_err,sample_size\n"
+GOOD_ROW = "19,041,1,325,49.2\n"
+
+
+class TestLoadTabulationMessages:
+    """Each rejected input's error class, message and line number."""
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            (HEADER + GOOD_ROW + "19,041,2,abc,3\n", SchemaError, "3: non-numeric count or std_err"),
+            (HEADER + "19,041,1,325,x\n", SchemaError, "2: non-numeric count or std_err"),
+            (HEADER + GOOD_ROW + "19,041,2,inf,3\n", DomainError, "3: count and std_err must be finite"),
+            (HEADER + "19,041,1,nan,3\n", DomainError, "2: count and std_err must be finite"),
+            (HEADER + GOOD_ROW + ",013,1,5,1.0\n", SchemaError, "3: blank state or county code"),
+            (HEADER + "19, ,1,5,1.0\n", SchemaError, "2: blank state or county code"),
+            # a short row's missing fields read as blank
+            (HEADER + GOOD_ROW + "19,041,2,10\n", SchemaError, "3: non-numeric count or std_err"),
+            (SIZED + GOOD_ROW, SchemaError, "2: non-numeric sample_size"),
+            (SIZED + "19,041,1,325,49.2,250\n19,041,2,5,1,many\n", SchemaError, "3: non-numeric sample_size"),
+            (HEADER + "19,041,x,325,49.2\n", SchemaError, "2: cell index 'x' is not an integer"),
+            (HEADER + "19,041,0,325,49.2\n", SchemaError, "2: cell index must be >= 1"),
+            (HEADER + "19,041,1,325,-1\n", DomainError, "2: negative count or std_err"),
+            (HEADER, SchemaError, " no data rows"),
+            ("", SchemaError, " empty file"),
+            ("state,county,order,count\n19,041,1,325\n", SchemaError, " missing column 'std_err'"),
+        ],
+    )
+    def test_message_names_the_line(self, tmp_path, text, error, message):
+        path = write_csv(tmp_path / "t.csv", text)
+        with pytest.raises(error) as info:
+            load_tabulation(path)
+        assert str(info.value) == f"{path}:{message}"
+
+    def test_row_longer_than_header(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", HEADER + GOOD_ROW + "19,041,2,10,3.0,7\n")
+        with pytest.raises(SchemaError) as info:
+            load_tabulation(path)
+        assert str(info.value) == f"{path}:3: 6 fields, but the header names 5"
+
+    def test_unknown_column_role(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", HEADER + GOOD_ROW)
+        with pytest.raises(SchemaError) as info:
+            load_tabulation(path, columns={"bogus": "x", "count": "count"})
+        assert str(info.value) == "unknown column roles: ['bogus']"
+
+    def test_whitespace_padded_names_and_fields(self, tmp_path):
+        path = write_csv(
+            tmp_path / "t.csv",
+            " state , county ,order , count,std_err ,sample_size\n"
+            " 19 , 041 , 2 , 10 , 3.0 , 40 \n 19 , 041 , 1 , 325 , 49.2 , 250 \n",
+        )
+        table = load_tabulation(path)
+        assert table.areas == ("19041",)
+        assert table.estimates.tolist() == [325.0, 10.0]
+        assert table.std_errors.tolist() == [49.2, 3.0]
+        assert table.sample_sizes.tolist() == [250.0, 40.0]
+
+
 class TestDeltaMethod:
     def test_reference_value(self):
         # se^2 / (est + 1)^2 at est=325, se=49.2
