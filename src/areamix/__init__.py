@@ -15,8 +15,7 @@ small-area predictions:
 
 Submodules group the pieces: ``tabulation`` (ingest and transforms),
 ``spatial`` (adjacency), ``basis`` (spatial basis), ``msm`` / ``mixture``
-/ ``fh`` (samplers; ``mixture`` also holds the Dirichlet-process prior
-helpers), ``models`` (the model table), ``diagnostics``, ``simulate``
+/ ``fh`` (samplers), ``models`` (the model table), ``diagnostics``, ``simulate``
 (perturbation studies), ``synthetic`` (toy truths), and ``cli``.
 """
 
@@ -59,12 +58,9 @@ from .mixture import (
     BaseMeasure,
     MixtureConfig,
     MixturePosterior,
-    cluster_posterior,
     crp_simulate,
     fit_msmm_dp,
     fit_msmm_truncated,
-    prior_expected_clusters,
-    stick_break,
 )
 from .msm import (
     MsmConfig,

@@ -19,9 +19,9 @@ from .msm import (
     ChainConfig,
     DrawRecorder,
     _check_data,
+    _cholesky,
+    _gaussian_draw,
     _inverse_gamma_conditional,
-    _posterior_draw,
-    _posterior_mean,
     draw_inverse_gamma,
 )
 
@@ -57,6 +57,9 @@ def fit_fh(z, d, x, config: FhConfig | None = None) -> FhDraws:
     pulled toward z_i - x_i' beta by the data precision; beta | rest has
     the usual ridge-regression form against the residual z - nu; and
     sigma2 | rest is InverseGamma(a + n/2, b + sum(nu^2)/2).
+
+    Raises DefinitenessError when beta's posterior precision has no
+    finite Cholesky factor, as with repeated or overflowing columns of x.
     """
     config = config or FhConfig()
     config.validate()
@@ -66,7 +69,9 @@ def fit_fh(z, d, x, config: FhConfig | None = None) -> FhDraws:
     rng = np.random.default_rng(config.seed)
     xt_dinv = x.T / d
     prec_beta = xt_dinv @ x + np.eye(p) / config.sigma2_beta
-    chol_beta = np.linalg.cholesky(prec_beta)
+    chol_beta = _cholesky(
+        prec_beta, "beta posterior precision", "check the design for repeated or huge columns"
+    )
 
     fixed = config.sigma2_fixed
     beta = np.zeros(p)
@@ -80,7 +85,7 @@ def fit_fh(z, d, x, config: FhConfig | None = None) -> FhDraws:
         mean_nu = (resid / d) / prec
         nu = mean_nu + rng.standard_normal(n) / np.sqrt(prec)
 
-        beta = _posterior_draw(rng, chol_beta, _posterior_mean(chol_beta, xt_dinv @ (z - nu)))
+        beta = _gaussian_draw(rng, chol_beta, xt_dinv @ (z - nu))
 
         if fixed is None:
             shape, scale = _inverse_gamma_conditional(

@@ -9,9 +9,8 @@ Each observation i carries theta_i = (beta_i, eta_i) in R^{p+r} with
 G0 is the msm prior of (beta, eta) (``msm.BaseMeasure``), and a
 cluster's atom posterior is msm's coefficient posterior over the
 cluster's rows: msm is the one-cluster case.  Both sum that posterior's
-data precision per (area, component) with ``msm._component_sums``;
-``msm._ClusterStats``, its sum over rows, is the kernel of
-``cluster_posterior`` and the test oracle.
+data precision per (area, component) with ``msm._component_sums`` and
+draw each atom with ``msm._gaussian_draw``.
 
 Ties among the theta_i induce clusters of observations that share one
 regression surface and one spatial field.  Both samplers run one blocked
@@ -25,10 +24,9 @@ sticks.
   Griffin and Walker 2011).  Each sweep first draws a slice per row,
   which admits finitely many components, and holds just those.
 
-Beside the two samplers and their steps, the module holds the public
-prior-law helpers: ``cluster_posterior``, ``stick_break``,
-``prior_expected_clusters``, ``crp_simulate`` and
-``canonicalize_labels``.
+Beside the two samplers and their steps, the module holds
+``crp_simulate``, which seats the slice sampler's first partition, and
+``canonicalize_labels``, which labels every retained partition.
 """
 
 from __future__ import annotations
@@ -40,57 +38,20 @@ from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .basis import MoranBasis
-from .errors import DivergenceError, DomainError, ShapeError
+from .errors import DivergenceError, DomainError
 from .msm import (
     BaseMeasure,
     ChainConfig,
     DrawRecorder,
-    _check_data,
     _cholesky,
-    _ClusterStats,
     _component_sums,
-    _cov_from_chol,
+    _gaussian_draw,
     _inverse_gamma_conditional,
     _Rows,
     draw_inverse_gamma,
 )
-
-
-def cluster_posterior(
-    members: np.ndarray, z, d, u, base: BaseMeasure
-) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior (mean, cov) of a cluster atom given its members.
-
-    cov = (Sigma0^{-1} + sum u_i u_i'/d_i)^{-1},
-    mean = cov sum u_i z_i / d_i,
-    with the sums over ``members`` (row indices).  An empty member set
-    returns the base measure itself: (0, Sigma0).
-    """
-    members = np.asarray(members, dtype=int).ravel()
-    z, d, u = _check_data(z, d, u)
-    if u.shape[1] != base.dim:
-        raise ShapeError("u must be (n, p + r)")
-    if members.size == 0:
-        return np.zeros(base.dim), base.prior_covariance()
-    chol, mean = _ClusterStats(members, z, d, u).posterior(base.prior_precision())
-    return mean, _cov_from_chol(chol)
-
-
-def stick_break(v) -> np.ndarray:
-    """Weights from stick-breaking fractions: pi_k = V_k prod_{b<k}(1 - V_b).
-
-    ``v`` has length M - 1 with entries strictly inside (0, 1); the last
-    stick is implicitly 1, so the returned M weights sum to one.
-    """
-    v = np.asarray(v, dtype=float).ravel()
-    if v.size < 1:
-        raise DomainError("need at least one stick fraction")
-    if np.any(v <= 0.0) or np.any(v >= 1.0):
-        raise DomainError("stick fractions must lie strictly inside (0, 1)")
-    return np.exp(_log_weights(np.array([np.log(v), np.log1p(-v)])))
 
 
 def _log_weights(sticks: np.ndarray) -> np.ndarray:
@@ -115,13 +76,6 @@ def _beta_logs(rng, a, b) -> np.ndarray:
     shapes[0], shapes[1] = a, b
     log_g = np.log(rng.standard_gamma(shapes + 1.0)) - rng.standard_exponential(shapes.shape) / shapes
     return log_g - np.logaddexp(log_g[0], log_g[1])
-
-
-def prior_expected_clusters(alpha: float, n: int) -> float:
-    """E[number of clusters] among n draws: sum_i alpha / (alpha + i - 1)."""
-    if alpha <= 0 or n < 1:
-        raise DomainError("alpha must be positive and n >= 1")
-    return float(np.sum(alpha / (alpha + np.arange(n))))
 
 
 def crp_simulate(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -194,19 +148,6 @@ class MixturePosterior:
         return self.y.shape[0]
 
 
-def _atom_draw(rng, prec0: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """One atom from its posterior N(P^{-1} g, P^{-1}), P = prec0 + F.
-
-    With P = C C', the draw is C'^{-1}(C^{-1} g + e), e standard normal:
-    the mean C'^{-T}C^{-1} g plus C'^{-1} e in one back-substitution.
-    Raises DefinitenessError when P has no Cholesky factor.
-    """
-    chol = _cholesky(prec0 + f, "atom posterior precision")
-    half = solve_triangular(chol, g, lower=True, check_finite=False)
-    half += rng.standard_normal(g.size)
-    return solve_triangular(chol.T, half, lower=False, check_finite=False)
-
-
 def _draw_atoms(rng, stats, base: BaseMeasure, chol_k, config: MixtureConfig, t: int):
     """Every component's atom and sigma2_eta, in the partially collapsed order.
 
@@ -218,6 +159,8 @@ def _draw_atoms(rng, stats, base: BaseMeasure, chol_k, config: MixtureConfig, t:
     at that new sigma2_eta (``chol_k`` is the Cholesky factor of K).  The
     empty atoms do not enter the sigma2_eta step, so they must follow it
     (van Dyk and Park 2008).  Returns (atoms (M, q), k, sigma2_eta).
+    Raises DefinitenessError when an atom posterior precision has no
+    finite Cholesky factor.
     """
     prec0 = base.prior_precision()
     atoms, empty = [], []
@@ -227,7 +170,8 @@ def _draw_atoms(rng, stats, base: BaseMeasure, chol_k, config: MixtureConfig, t:
             empty.append(m)
             atoms.append(None)
             continue
-        theta = _atom_draw(rng, prec0, *st)
+        f, g = st
+        theta = _gaussian_draw(rng, _cholesky(prec0 + f, "atom posterior precision"), g)
         eta = theta[base.p :]
         eta_quad += float(eta @ base.k_inv @ eta)
         atoms.append(theta)
@@ -389,7 +333,10 @@ def fit_msmm_dp(
     sticks = _draw_sticks(rng, np.bincount(c, minlength=c.max() + 2), alpha)
     prec0 = BaseMeasure.from_basis(basis, p, config.sigma2_beta, sigma2_eta).prior_precision()
     theta = np.array(
-        [_atom_draw(rng, prec0, *st) for st in _component_sums(rows, c, sticks.shape[1])]
+        [
+            _gaussian_draw(rng, _cholesky(prec0 + f, "atom posterior precision"), g)
+            for f, g in _component_sums(rows, c, sticks.shape[1])
+        ]
     )
 
     draws = DrawRecorder(config)

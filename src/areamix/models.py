@@ -2,7 +2,9 @@
 
 Adding a model means adding a row here, a sampler, and its branch at the
 two call sites that pick the sampler (``cli._fit_one_chain`` and
-``simulate._fit_model``); nothing else dispatches on a model name.
+``simulate._fit_model``); nothing else dispatches on a model name.  Those
+two branches stay, rather than a fit call on ``Model``, because the
+benchmark wraps the samplers where ``cli`` and ``simulate`` bind them.
 """
 
 from __future__ import annotations

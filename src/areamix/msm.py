@@ -22,9 +22,8 @@ coefficient posterior in these parts:
   along B = blockdiag(0, K^{-1}) alone: it diagonalises P against B once
   per fit (``_diagonalise``) and draws theta and sigma2_eta in O(p + r)
   a sweep.
-* ``_ClusterStats`` sums F over the rows of U itself and factors P by
-  Cholesky.  It is the kernel of ``mixture.cluster_posterior`` and the
-  test oracle of both paths above.
+* ``_gaussian_draw`` draws from N(P^{-1} g, P^{-1}) given the Cholesky
+  factor of P (``_cholesky``): each mixture atom, and fh's beta.
 
 ``ChainConfig`` and ``DrawRecorder`` are the chain settings and draw
 storage that every sampler shares.
@@ -146,29 +145,6 @@ def _check_data(z, d, x):
     return z, d, x
 
 
-def _posterior_mean(chol: np.ndarray, lin: np.ndarray) -> np.ndarray:
-    """Posterior mean (L L')^{-1} lin from the Cholesky factor L of the precision."""
-    half = solve_triangular(chol, lin, lower=True)
-    return solve_triangular(chol.T, half, lower=False)
-
-
-def _posterior_factor(prec: np.ndarray, lin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky of a posterior precision plus the posterior mean."""
-    chol = np.linalg.cholesky(prec)
-    return chol, _posterior_mean(chol, lin)
-
-
-def _posterior_draw(rng: np.random.Generator, chol: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """One draw from N(mean, (L L')^{-1}): mean + L'^{-1} e with e standard normal."""
-    return mean + solve_triangular(chol.T, rng.standard_normal(mean.size), lower=False)
-
-
-def _cov_from_chol(chol: np.ndarray) -> np.ndarray:
-    half = solve_triangular(chol, np.eye(chol.shape[0]), lower=True)
-    cov = half.T @ half
-    return (cov + cov.T) / 2.0
-
-
 @dataclass(frozen=True)
 class BaseMeasure:
     """The prior N(0, Sigma0) of theta = (beta, eta) given sigma2_eta, and
@@ -211,39 +187,11 @@ class BaseMeasure:
         prec[self.p :, self.p :] = self.k_inv / self.sigma2_eta
         return prec
 
-    def prior_covariance(self) -> np.ndarray:
-        q = self.dim
-        cov = np.zeros((q, q))
-        cov[: self.p, : self.p] = np.eye(self.p) * self.sigma2_beta
-        cov[self.p :, self.p :] = self.k * self.sigma2_eta
-        return cov
-
-    def draw(self, rng: np.random.Generator, chol_k: np.ndarray | None = None) -> np.ndarray:
-        if chol_k is None:
-            chol_k = np.linalg.cholesky(self.k)
+    def draw(self, rng: np.random.Generator, chol_k: np.ndarray) -> np.ndarray:
+        """One draw from N(0, Sigma0); ``chol_k`` is the Cholesky factor of K."""
         head = math.sqrt(self.sigma2_beta) * rng.standard_normal(self.p)
         tail = math.sqrt(self.sigma2_eta) * (chol_k @ rng.standard_normal(self.r))
         return np.concatenate([head, tail])
-
-
-class _ClusterStats:
-    """A cluster's count, F = sum u_i u_i'/d_i and g = sum u_i z_i/d_i over its
-    member rows (``slice(None)``: every row, uncopied); ``posterior`` forms
-    the posterior of the theta those rows share.
-    """
-
-    __slots__ = ("count", "f", "g")
-
-    def __init__(self, members, z: np.ndarray, d: np.ndarray, u: np.ndarray):
-        rows = u[members]
-        weights = d[members]
-        self.count = rows.shape[0]
-        self.f = (rows / weights[:, None]).T @ rows
-        self.g = rows.T @ (z[members] / weights)
-
-    def posterior(self, prec0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The atom posterior (chol of prec0 + F, mean) under prior precision prec0."""
-        return _posterior_factor(prec0 + self.f, self.g)
 
 
 def _inverse_gamma_conditional(a, b, dof, quad: float, iteration=None) -> tuple[float, float]:
@@ -353,14 +301,32 @@ def _data_precision(rows: _Rows) -> tuple[np.ndarray, np.ndarray]:
     return next(_component_sums(rows, np.zeros(rows.n, dtype=np.intp), 1))
 
 
-def _cholesky(matrix: np.ndarray, what: str) -> np.ndarray:
-    """The Cholesky factor of ``matrix``; DefinitenessError when it has none."""
+_K_HINT = "check that the basis precision K^{-1} is positive definite"
+
+
+def _cholesky(matrix: np.ndarray, what: str, hint: str = _K_HINT) -> np.ndarray:
+    """The Cholesky factor of ``matrix``; DefinitenessError when it has no
+    finite one.  A non-finite entry of ``matrix`` leaves NaN or inf on the
+    factor's diagonal, and a finite diagonal entry is at most the square
+    root of the largest float, so a finite trace means a finite factor."""
     try:
-        return np.linalg.cholesky(matrix)
+        chol = np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError:
-        raise DefinitenessError(
-            f"{what} is not positive definite; check that the basis precision K^{{-1}} is"
-        ) from None
+        chol = None
+    if chol is None or not math.isfinite(chol.trace()):
+        raise DefinitenessError(f"{what} is not positive definite or not finite; {hint}")
+    return chol
+
+
+def _gaussian_draw(rng: np.random.Generator, chol: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """One draw from N(P^{-1} g, P^{-1}) given the Cholesky factor C of P = C C'.
+
+    The draw is C'^{-1}(C^{-1} g + e), e standard normal: the mean
+    C'^{-1} C^{-1} g plus C'^{-1} e in one back-substitution.
+    """
+    half = solve_triangular(chol, g, lower=True, check_finite=False)
+    half += rng.standard_normal(g.size)
+    return solve_triangular(chol.T, half, lower=False, check_finite=False)
 
 
 def _diagonalise(f, g, base: BaseMeasure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

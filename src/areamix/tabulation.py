@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping
 
@@ -66,32 +66,19 @@ class TabulationTable:
         return [(a, s) for a in self.areas for s in range(1, self.n_cells + 1)]
 
 
-@dataclass(frozen=True)
-class LogTable:
-    """Log-scale working data: z = log(estimate + 1) with variances d.
+@dataclass(frozen=True, kw_only=True)
+class LogTable(TabulationTable):
+    """Log-scale working data: z = log(estimate + 1) with variances d,
+    beside the direct estimates it came from.
 
     Entries of ``d`` are NaN where no usable sampling variance exists; they
-    must be imputed (see gvf_impute) before model fitting.
+    must be imputed (see gvf_impute) before model fitting.  ``imputed``
+    marks the entries gvf_impute filled.
     """
 
-    areas: tuple[str, ...]
-    n_cells: int
     z: np.ndarray
     d: np.ndarray
-    estimates: np.ndarray
-    std_errors: np.ndarray
-    sample_sizes: np.ndarray | None = None
     imputed: np.ndarray | None = None
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.areas) * self.n_cells
-
-    def index_of(self, area: str, cell: int) -> int:
-        return TabulationTable.index_of(self, area, cell)  # type: ignore[arg-type]
-
-    def keys(self) -> list[tuple[str, int]]:
-        return [(a, s) for a in self.areas for s in range(1, self.n_cells + 1)]
 
 
 def load_tabulation(
@@ -134,21 +121,20 @@ def load_tabulation(
                 raise SchemaError(f"{path}: missing column {names[role]!r}")
         # a repeated header name reads its last column
         position = {name: i for i, name in enumerate(header)}
-        fields = [position[names[role]] for role in required]
+        required_at = [position[names[role]] for role in required]
         n_field = position.get(names["sample_size"])
         width = len(header)
-        lineno = 1  # a row's number counts the header and the nonblank rows up to it
         for raw in reader:
             if not raw:
                 continue
-            lineno += 1
+            lineno = reader.line_num
             if len(raw) > width:
                 raise SchemaError(
                     f"{path}:{lineno}: {len(raw)} fields, but the header names {width}"
                 )
             if len(raw) < width:
                 raw += [""] * (width - len(raw))  # missing trailing fields read as blank
-            state, county, order, count, std_err = (raw[i].strip() for i in fields)
+            state, county, order, count, std_err = (raw[i].strip() for i in required_at)
             if not state or not county:
                 raise SchemaError(f"{path}:{lineno}: blank state or county code")
             area = state + county
@@ -226,19 +212,14 @@ def log_transform(table: TabulationTable) -> LogTable:
     Variances come from the delta method.  Entries are left undefined
     (NaN) wherever the direct estimate is zero or the delta-method value
     collapses to zero; those positions need gvf_impute before modelling.
+    The result shares the table's arrays: tables are read, never written.
     """
     est = table.estimates
-    z = np.log1p(est)
     d = delta_method_variance(est, table.std_errors)
-    d = np.where((est > 0) & (d > 0), d, np.nan)
     return LogTable(
-        areas=table.areas,
-        n_cells=table.n_cells,
-        z=z,
-        d=d,
-        estimates=est.copy(),
-        std_errors=table.std_errors.copy(),
-        sample_sizes=None if table.sample_sizes is None else table.sample_sizes.copy(),
+        **{f.name: getattr(table, f.name) for f in fields(TabulationTable)},
+        z=np.log1p(est),
+        d=np.where((est > 0) & (d > 0), d, np.nan),
     )
 
 
@@ -251,7 +232,8 @@ def gvf_impute(log_table: LogTable, span: float = 0.75) -> LogTable:
     values are clipped below at IMPUTATION_FLOOR.  Each distinct predictor
     value is smoothed once: without sample sizes every zero-count entry
     sits at z = 0, which clamps to the smallest defined z, so one smoother
-    evaluation serves them all.
+    evaluation serves them all.  The result shares every array of
+    ``log_table`` but ``d``.
     """
     d = log_table.d
     defined = np.isfinite(d)
@@ -271,18 +253,7 @@ def gvf_impute(log_table: LogTable, span: float = 0.75) -> LogTable:
     if not defined.all():
         pred = smoother(predictor[~defined])
         filled[~defined] = np.maximum(np.atleast_1d(pred), IMPUTATION_FLOOR)
-    return LogTable(
-        areas=log_table.areas,
-        n_cells=log_table.n_cells,
-        z=log_table.z.copy(),
-        d=filled,
-        estimates=log_table.estimates.copy(),
-        std_errors=log_table.std_errors.copy(),
-        sample_sizes=None
-        if log_table.sample_sizes is None
-        else log_table.sample_sizes.copy(),
-        imputed=~defined,
-    )
+    return replace(log_table, d=filled, imputed=~defined)
 
 
 @dataclass(frozen=True)

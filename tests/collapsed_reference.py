@@ -1,4 +1,5 @@
-"""The collapsed Gibbs sampler for the mixture model, kept as a test reference.
+"""The collapsed Gibbs sampler for the mixture model, kept as a test
+reference, with the closed forms the tests check the samplers against.
 
 ``fit_collapsed`` integrates the atoms out of the assignment step and
 moves one row at a time, so it shares no sweep code with the blocked
@@ -10,6 +11,13 @@ cluster's, and ``_assignment_logw`` weighs a held-out row against them.
 oracles that check it check the kernel ``fit_collapsed`` runs.  The
 sampler looks the kernel up on this module at call time so tests can
 watch the calls.
+
+The closed forms: ``_ClusterStats`` sums a cluster's data precision over
+the rows of U = [X, Psi] themselves, the oracle of ``msm._component_sums``;
+``cluster_posterior`` gives an atom's posterior mean and covariance from
+it; ``prior_covariance`` is Sigma0 of a ``BaseMeasure``; and
+``stick_break`` and ``prior_expected_clusters`` are the stick-breaking
+weights and the expected number of clusters of the seating law.
 """
 
 from __future__ import annotations
@@ -17,20 +25,92 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from areamix.errors import DivergenceError, DomainError, ShapeError
 from areamix.mixture import (
     BaseMeasure,
     MixtureConfig,
     MixturePosterior,
-    _ClusterStats,
     _draw_atoms,
+    _log_weights,
     canonicalize_labels,
 )
 from areamix.msm import DrawRecorder, _check_data
 from conftest import entry_psi
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+
+def prior_covariance(base: BaseMeasure) -> np.ndarray:
+    """Sigma0 = blockdiag(sigma2_beta I_p, sigma2_eta K) of ``base``."""
+    cov = np.zeros((base.dim, base.dim))
+    cov[: base.p, : base.p] = np.eye(base.p) * base.sigma2_beta
+    cov[base.p :, base.p :] = base.k * base.sigma2_eta
+    return cov
+
+
+class _ClusterStats:
+    """A cluster's count, F = sum u_i u_i'/d_i and g = sum u_i z_i/d_i over its
+    member rows (``slice(None)``: every row, uncopied); ``posterior`` forms
+    the posterior of the theta those rows share.
+    """
+
+    __slots__ = ("count", "f", "g")
+
+    def __init__(self, members, z: np.ndarray, d: np.ndarray, u: np.ndarray):
+        rows = u[members]
+        weights = d[members]
+        self.count = rows.shape[0]
+        self.f = (rows / weights[:, None]).T @ rows
+        self.g = rows.T @ (z[members] / weights)
+
+    def posterior(self, prec0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The atom posterior (chol of prec0 + F, mean) under prior precision prec0."""
+        chol = np.linalg.cholesky(prec0 + self.f)
+        half = solve_triangular(chol, self.g, lower=True)
+        return chol, solve_triangular(chol.T, half, lower=False)
+
+
+def _cov_from_chol(chol: np.ndarray) -> np.ndarray:
+    half = solve_triangular(chol, np.eye(chol.shape[0]), lower=True)
+    cov = half.T @ half
+    return (cov + cov.T) / 2.0
+
+
+def cluster_posterior(
+    members: np.ndarray, z, d, u, base: BaseMeasure
+) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior (mean, cov) of a cluster atom given its members.
+
+    cov = (Sigma0^{-1} + sum u_i u_i'/d_i)^{-1},
+    mean = cov sum u_i z_i / d_i,
+    with the sums over ``members`` (row indices).  An empty member set
+    returns the base measure itself: (0, Sigma0).
+    """
+    members = np.asarray(members, dtype=int).ravel()
+    z, d, u = _check_data(z, d, u)
+    if u.shape[1] != base.dim:
+        raise ShapeError("u must be (n, p + r)")
+    if members.size == 0:
+        return np.zeros(base.dim), prior_covariance(base)
+    chol, mean = _ClusterStats(members, z, d, u).posterior(base.prior_precision())
+    return mean, _cov_from_chol(chol)
+
+
+def stick_break(v) -> np.ndarray:
+    """Weights from stick-breaking fractions: pi_k = V_k prod_{b<k}(1 - V_b).
+
+    ``v`` has length M - 1 with entries strictly inside (0, 1); the last
+    stick is implicitly 1, so the returned M weights sum to one.
+    """
+    v = np.asarray(v, dtype=float).ravel()
+    return np.exp(_log_weights(np.array([np.log(v), np.log1p(-v)])))
+
+
+def prior_expected_clusters(alpha: float, n: int) -> float:
+    """E[number of clusters] among n draws: sum_i alpha / (alpha + i - 1)."""
+    return float(np.sum(alpha / (alpha + np.arange(n))))
 
 
 def _cluster_blocks(
@@ -56,7 +136,7 @@ def _cluster_blocks(
     blocks = np.zeros((k + 1, q + 1, q))
     blocks[:k, :q] = np.linalg.inv(prec)
     blocks[:k, q] = np.einsum("cjk,ck->cj", blocks[:k, :q], lin)
-    blocks[k, :q] = base.prior_covariance()
+    blocks[k, :q] = prior_covariance(base)
     weights = np.array([st.count for st in clusters] + [alpha], dtype=float)
     return weights, blocks
 
@@ -223,6 +303,7 @@ def fit_collapsed(z, d, x, basis, config: MixtureConfig | None = None) -> Mixtur
         members = [np.flatnonzero(assignments == c) for c in range(k)]
         stats = [_ClusterStats(idx, z, d, u) for idx in members]
         sums = [(st.f, st.g) for st in stats]
+        # every cluster has members, so no atom comes from the base measure and no chol K
         theta, _, sigma2_eta = _draw_atoms(rng, sums, base, None, config, t)
         y = np.empty(n)
         for c, idx in enumerate(members):

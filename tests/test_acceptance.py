@@ -38,14 +38,13 @@ from areamix import (
     gvf_impute,
     icar_precision,
     perturb,
-    prior_expected_clusters,
     run_study,
 )
 from areamix.cli import main
 from areamix.synthetic import grid_graph, two_field_study
 from areamix.tabulation import LogTable, back_transform
 
-from collapsed_reference import crp_assignment_probs
+from collapsed_reference import crp_assignment_probs, prior_covariance, prior_expected_clusters
 from conftest import entry_psi, random_connected_adjacency
 from test_loess import wls_oracle
 from test_msm import joint_gaussian_condition
@@ -235,7 +234,7 @@ def _set_partitions(n: int):
 
 def _log_evidence(z, d, u, members, base) -> float:
     rows = u[members]
-    cov = rows @ base.prior_covariance() @ rows.T + np.diag(d[members])
+    cov = rows @ prior_covariance(base) @ rows.T + np.diag(d[members])
     return float(
         stats.multivariate_normal(mean=np.zeros(len(members)), cov=cov).logpdf(z[members])
     )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from areamix import DivergenceError, DomainError, FhConfig, fit_fh
+from areamix import AreamixError, DivergenceError, DomainError, FhConfig, fit_fh
 
 from test_msm import joint_gaussian_condition
 
@@ -53,6 +53,21 @@ class TestFitFh:
         z[0] = 1e300
         with pytest.raises(DivergenceError):
             fit_fh(z, d, x, FhConfig(iterations=20, burn_in=2, seed=5))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("case", ["repeated_column", "huge_design"])
+    def test_beta_precision_without_factor(self, toy_data, case):
+        # a repeated column under a flat prior leaves X'D^{-1}X + I/sigma2_beta
+        # singular; 1e200-sized entries overflow it to inf: either way a
+        # categorised numerical error, which a study records and goes past
+        z, d, x = toy_data
+        if case == "repeated_column":
+            x, cfg = np.column_stack([x, x[:, 0]]), FhConfig(sigma2_beta=1e300)
+        else:
+            x, cfg = 1e200 * x, FhConfig()
+        with pytest.raises(AreamixError) as caught:
+            fit_fh(z, d, x, cfg)
+        assert caught.value.exit_code == 4
 
     def test_undefined_variance_rejected(self, toy_data):
         z, d, x = toy_data

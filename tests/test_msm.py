@@ -12,13 +12,13 @@ from areamix import (
     build_adjacency,
     build_basis,
     build_design,
-    cluster_posterior,
     draw_inverse_gamma,
     fit_msm,
     msm,
 )
 from areamix.synthetic import two_field_study
 
+from collapsed_reference import _ClusterStats, cluster_posterior
 from conftest import entry_psi
 
 
@@ -73,7 +73,7 @@ def check_component_sums(rng, z, d, x, basis, m_comp=6, partitions=4):
             if members.size == 0:
                 assert got is None
                 continue
-            want = msm._ClusterStats(members, z, d, u)
+            want = _ClusterStats(members, z, d, u)
             f, g = got
             assert np.linalg.norm(f - want.f) <= 1e-12 * np.linalg.norm(want.f)
             assert np.linalg.norm(g - want.g) <= 1e-12 * np.linalg.norm(want.g)
@@ -206,7 +206,7 @@ class TestSharedAtomKernel:
         # variances that differ within each area
         z, d, x, basis = random_area_inputs(np.random.default_rng(40 + cells), 7, cells)
         f, g = msm._data_precision(msm._Rows(z, d, x, basis))
-        rows = msm._ClusterStats(slice(None), z, d, np.hstack([x, entry_psi(basis)]))
+        rows = _ClusterStats(slice(None), z, d, np.hstack([x, entry_psi(basis)]))
         assert np.linalg.norm(f - rows.f) <= 1e-12 * np.linalg.norm(rows.f)
         assert np.linalg.norm(g - rows.g) <= 1e-12 * np.linalg.norm(rows.g)
 

@@ -146,6 +146,8 @@ class TestLoadTabulationMessages:
         [
             (HEADER + GOOD_ROW + "19,041,2,abc,3\n", SchemaError, "3: non-numeric count or std_err"),
             (HEADER + "19,041,1,325,x\n", SchemaError, "2: non-numeric count or std_err"),
+            # blank lines are skipped but counted: the bad row is physical line 5
+            (HEADER + GOOD_ROW + "\n\n19,041,2,abc,3\n", SchemaError, "5: non-numeric count or std_err"),
             (HEADER + GOOD_ROW + "19,041,2,inf,3\n", DomainError, "3: count and std_err must be finite"),
             (HEADER + "19,041,1,nan,3\n", DomainError, "2: count and std_err must be finite"),
             (HEADER + GOOD_ROW + ",013,1,5,1.0\n", SchemaError, "3: blank state or county code"),
@@ -276,6 +278,18 @@ class TestGvfImpute:
         defined = np.isfinite(log_table.d)
         assert np.array_equal(filled.d[defined], log_table.d[defined])
         assert np.array_equal(filled.imputed, ~defined)
+
+    def test_input_arrays_unchanged(self):
+        log_table = _table_with_variances(12, 3, lambda u: 0.5 + 0.05 * u)
+        before = {
+            name: getattr(log_table, name).copy()
+            for name in ("z", "d", "estimates", "std_errors", "sample_sizes")
+        }
+        filled = gvf_impute(log_table)
+        assert log_table.imputed is None
+        for name, want in before.items():
+            assert np.array_equal(getattr(log_table, name), want, equal_nan=True), name
+        assert filled.z is log_table.z and filled.estimates is log_table.estimates
 
     def test_floor_applies(self):
         # defined variances are tiny, so the smoothed fill hits the floor
