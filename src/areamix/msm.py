@@ -32,6 +32,7 @@ storage that every sampler shares.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -74,6 +75,25 @@ class ChainConfig:
         return range(self.burn_in, self.iterations, self.thin)
 
 
+_MAPPED_COLUMN_BYTES = 4 << 20  # numpy's own size for a "large" array
+
+
+def _draw_column(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialised column of draws.  A column of _MAPPED_COLUMN_BYTES
+    or more gets a private memory map, unmapped when the array goes; freed
+    into the C heap, a block that large stays resident or not by the heap's
+    layout, so a process fitting chain after chain would peak at varying
+    memory.  Smaller columns reuse heap memory, cheaper than a fresh map."""
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    if nbytes < _MAPPED_COLUMN_BYTES:
+        return np.empty(shape, dtype=dtype)
+    buffer = mmap.mmap(-1, nbytes, access=mmap.ACCESS_COPY)  # private, faster than shared
+    if hasattr(mmap, "MADV_HUGEPAGE"):  # as numpy advises its own large arrays
+        buffer.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buffer, dtype=dtype).reshape(shape)
+
+
 class DrawRecorder:
     """The retained draws of one chain, one row per sweep of ``retained()``.
 
@@ -93,7 +113,7 @@ class DrawRecorder:
         if not self.columns:
             for name, value in values.items():
                 shape = (len(self.keep), *np.shape(value))
-                self.columns[name] = np.empty(shape, dtype=getattr(value, "dtype", float))
+                self.columns[name] = _draw_column(shape, getattr(value, "dtype", float))
         for name, value in values.items():
             self.columns[name][self._slot] = value
         self._slot += 1

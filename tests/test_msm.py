@@ -1,3 +1,5 @@
+import mmap
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -106,6 +108,31 @@ class TestDrawInverseGamma:
         a = draw_inverse_gamma(np.random.default_rng(99), 1.1, 2.1)
         b = 1.0 / np.random.default_rng(99).gamma(1.1, 1.0 / 2.1)
         assert a == b
+
+
+class TestDrawRecorder:
+    def test_columns_keep_shape_and_type(self):
+        draws = msm.DrawRecorder(MsmConfig(iterations=5, burn_in=1, thin=2))
+        for t in draws.keep:
+            draws.record(y=np.full(3, float(t)), k=np.int64(t), s=0.5, e=np.empty(0))
+        cols = draws.columns
+        assert cols["y"].shape == (2, 3) and cols["y"].dtype == float
+        assert cols["k"].dtype == np.int64 and cols["s"].dtype == float
+        assert cols["e"].shape == (2, 0)
+        np.testing.assert_array_equal(cols["y"][:, 0], [1.0, 3.0])
+
+    def test_large_columns_are_mapped(self):
+        # a large column lives in a memory map of its own, released with
+        # it; a small one comes from the heap
+        row = msm._MAPPED_COLUMN_BYTES // 16
+        small = msm._draw_column((2, row - 1), np.float64)
+        large = msm._draw_column((2, row), np.float64)
+        assert small.base is None
+        assert large.shape == (2, row) and large.flags.writeable
+        base = large
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert isinstance(base.obj, mmap.mmap)
 
 
 class TestFitMsm:
