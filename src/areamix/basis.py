@@ -93,12 +93,14 @@ def moran_operator(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     (v (x) 1_L / sqrt(L), L lam) for (I - P_X)(W (x) J_L)(I - P_X).
     That needs col(X) to split into area-level and within-area parts
     (S'S a projector); otherwise this raises DomainError.  A is checked
-    as every adjacency is (``spatial._check_adjacency``), before any
-    eigensolve.
+    as every adjacency is (``spatial._check_adjacency``), and X for
+    finite entries, before any factorisation.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ShapeError("design matrix must be 2-D")
+    if not np.all(np.isfinite(x)):
+        raise DomainError("design entries must be finite")
     n, p = x.shape
     a = _check_adjacency(a)
     m = a.shape[0]

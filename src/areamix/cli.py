@@ -23,8 +23,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
+import operator
 import sys
+from collections.abc import Sequence
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -50,52 +53,51 @@ from .msm import fit_msm
 from .simulate import StudyConfig, run_study, write_study_csv, write_study_summary_csv
 from .spatial import build_adjacency, read_edge_list
 from .tabulation import (
+    DEFAULT_COLUMNS,
     gvf_impute,
     load_tabulation,
     log_transform,
     predict_summaries,
     write_prediction_csv,
 )
-from .util import derive_seed, format_value, sha256_bytes, sha256_file
+from .util import derive_seed, format_value, open_text, sha256_bytes, sha256_file
 
-# key -> (type, default); None means "no default, may be required per command"
+# the input files of every command that reads a table, as config keys
+TABLE_INPUTS = ("tabulation", "adjacency", "population")
+
+# key -> (type, default); None means "no default, may be required per command".
+# iterations and burn_in default per model (models.Model); the other sampler
+# settings are added below from the models' config classes
 CONFIG_SPEC: dict[str, tuple[str, object]] = {
-    "tabulation": ("path", None),
-    "adjacency": ("path", None),
-    "population": ("path", None),
+    **{key: ("path", None) for key in TABLE_INPUTS},
     "draws": ("path", None),
     "out": ("str", "."),
     "model": ("str", "msmm"),
     "algorithm": ("str", "truncated"),
-    "truncation_m": ("int", 25),  # algorithm = truncated only
     "basis_fraction": ("float", 0.5),
     "basis_r": ("int", None),
     "basis_cache": ("str", None),
     "iterations": ("int", None),
     "burn_in": ("int", None),
-    "thin": ("int", 1),
     "chains": ("int", 2),
     "seed": ("int", 0),
-    "sigma2_beta": ("float", 100.0),
-    "a_eta": ("float", 0.1),
-    "b_eta": ("float", 0.1),
-    "a_alpha": ("float", 1.0),
-    "b_alpha": ("float", 4.0),
-    "a_sigma": ("float", 0.1),
-    "b_sigma": ("float", 0.1),
     "gvf_span": ("float", 0.75),
     "replicates": ("int", 100),
     "workers": ("int", 1),
     "models": ("str", "msmm,fh"),
     "write_draws": ("bool", True),
-    "col_state": ("str", None),
-    "col_county": ("str", None),
-    "col_order": ("str", None),
-    "col_count": ("str", None),
-    "col_std_err": ("str", None),
-    "col_sample_size": ("str", None),
+    **{f"col_{role}": ("str", None) for role in DEFAULT_COLUMNS},
+}
+# one key per sampler setting with a default, typed as its field is declared;
+# a field whose default is None (a test pin such as alpha_fixed) is no key
+CONFIG_SPEC |= {
+    f.name: (f.type, f.default)
+    for model in MODELS.values()
+    for f in fields(model.config_class)
+    if f.default is not None and f.name not in CONFIG_SPEC
 }
 
+DRAW_COLUMNS = ("chain", "iteration", "parameter", "value")  # of draws.csv
 N_TRACKED_ENTRIES = 5
 _ENTRY_SEED_TAG = 7777
 
@@ -124,8 +126,8 @@ def read_config(path: str | Path) -> dict:
     values = {k: default for k, (_, default) in CONFIG_SPEC.items()}
     first_line: dict[str, int] = {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -144,18 +146,14 @@ def read_config(path: str | Path) -> dict:
     return values
 
 
-def _require(config: dict, keys: list[str]) -> None:
+def _require(config: dict, keys: Sequence[str]) -> None:
     missing = [k for k in keys if config.get(k) in (None, "")]
     if missing:
         raise ConfigError(f"config is missing required keys: {missing}")
 
 
 def _column_overrides(config: dict) -> dict | None:
-    mapping = {}
-    for role in ("state", "county", "order", "count", "std_err", "sample_size"):
-        value = config.get(f"col_{role}")
-        if value:
-            mapping[role] = value
+    mapping = {role: config[f"col_{role}"] for role in DEFAULT_COLUMNS if config[f"col_{role}"]}
     return mapping or None
 
 
@@ -164,21 +162,26 @@ def _config_hash(config: dict) -> str:
     return sha256_bytes(canon.encode())
 
 
+def _write_json(path: Path, record: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_manifest(
-    out_dir: Path, command: str, config: dict, inputs: list[str], outputs: list[str]
+    out_dir: Path, command: str, config: dict, input_keys: Sequence[str], outputs: list[str]
 ) -> None:
+    """manifest.json: the config, its hash, and the hashes of the inputs ``input_keys`` name."""
     manifest = {
         "artifact_version": __version__,
         "command": command,
         "config": {k: config[k] for k in sorted(config)},
         "config_sha256": _config_hash(config),
         "seed": config["seed"],
-        "inputs": {name: sha256_file(name) for name in sorted(inputs)},
+        "inputs": {name: sha256_file(name) for name in sorted(config[k] for k in input_keys)},
         "outputs": sorted(outputs),
     }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "manifest.json", manifest)
 
 
 def _basis_request(config: dict) -> tuple[float | None, int | None]:
@@ -192,7 +195,7 @@ def _load_pipeline(config: dict):
 
     The basis and GVF settings are checked before any input is read.
     """
-    _require(config, ["tabulation", "adjacency", "population"])
+    _require(config, TABLE_INPUTS)
     try:
         check_basis_request(*_basis_request(config))
         check_span(config["gvf_span"])
@@ -270,6 +273,7 @@ def _tracked_entries(config: dict, log_table) -> list[int]:
 
 
 def cmd_fit(config: dict, out_dir: Path) -> list[str]:
+    """fit a model and write predictions"""
     model, cfg = _fit_settings(config)
     log_table, x, _, w = _load_pipeline(config)
     basis = _get_basis(config, x, w)[0] if model.needs_basis else None
@@ -291,32 +295,25 @@ def cmd_fit(config: dict, out_dir: Path) -> list[str]:
         model.scalar_series(fit) | {name: fit.y[:, i] for name, i in entries} for fit in fits
     ]
     report = diagnostics_report({name: [s[name] for s in chain_series] for name in chain_series[0]})
-    with open(out_dir / "diagnostics.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "diagnostics.json", report)
     outputs.append("diagnostics.json")
 
     if config["write_draws"]:
         with open(out_dir / "draws.csv", "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["chain", "iteration", "parameter", "value"])
+            writer.writerow(DRAW_COLUMNS)
             for chain, series in enumerate(chain_series):
                 for name in sorted(series):
                     for iteration, value in zip(cfg.retained(), series[name]):
                         writer.writerow([chain, iteration, name, format_value(float(value))])
         outputs.append("draws.csv")
 
-    _write_manifest(
-        out_dir,
-        "fit",
-        config,
-        [config["tabulation"], config["adjacency"], config["population"]],
-        outputs,
-    )
+    _write_manifest(out_dir, "fit", config, TABLE_INPUTS, outputs)
     return outputs
 
 
 def cmd_basis(config: dict, out_dir: Path) -> list[str]:
+    """build and cache the spatial basis"""
     _, x, names, w = _load_pipeline(config)
     cache_dir = config["basis_cache"] or str(out_dir)
     config = dict(config, basis_cache=cache_dir)
@@ -338,23 +335,16 @@ def cmd_basis(config: dict, out_dir: Path) -> list[str]:
         "cache_sha256": sha256_file(cache_file),
         "from_cache": bool(from_cache),
     }
-    with open(out_dir / "basis_report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "basis_report.json", report)
     outputs = ["basis_report.json"]
     if Path(cache_dir) == out_dir:
         outputs.append(cache_file.name)
-    _write_manifest(
-        out_dir,
-        "basis",
-        config,
-        [config["tabulation"], config["adjacency"], config["population"]],
-        outputs,
-    )
+    _write_manifest(out_dir, "basis", config, TABLE_INPUTS, outputs)
     return outputs
 
 
 def cmd_simulate(config: dict, out_dir: Path) -> list[str]:
+    """run a perturb-and-refit study"""
     models = tuple(m.strip() for m in config["models"].split(",") if m.strip())
     study_cfg = StudyConfig(
         replicates=config["replicates"],
@@ -376,49 +366,33 @@ def cmd_simulate(config: dict, out_dir: Path) -> list[str]:
     write_study_csv(result, out_dir / "study.csv")
     write_study_summary_csv(result, out_dir / "study_summary.csv")
     outputs = ["study.csv", "study_summary.csv"]
-    _write_manifest(
-        out_dir,
-        "simulate",
-        config,
-        [config["tabulation"], config["adjacency"], config["population"]],
-        outputs,
-    )
+    _write_manifest(out_dir, "simulate", config, TABLE_INPUTS, outputs)
     return outputs
 
 
 def cmd_diagnose(config: dict, out_dir: Path) -> list[str]:
+    """recompute diagnostics from a draw dump"""
     _require(config, ["draws"])
     path = config["draws"]
-    series: dict[str, dict[int, list[tuple[int, float]]]] = {}
-    with open(path, newline="") as fh:
+    rows: list[tuple[str, int, int, float]] = []  # (parameter, chain, iteration, value)
+    with open_text(path) as fh:
         reader = csv.DictReader(fh)
-        needed = {"chain", "iteration", "parameter", "value"}
-        if reader.fieldnames is None or not needed.issubset(set(reader.fieldnames)):
-            raise SchemaError(f"{path}: draw dump needs columns {sorted(needed)}")
+        if reader.fieldnames is None or not set(DRAW_COLUMNS).issubset(reader.fieldnames):
+            raise SchemaError(f"{path}: draw dump needs columns {sorted(DRAW_COLUMNS)}")
         for lineno, rec in enumerate(reader, start=2):
             try:
-                chain = int(rec["chain"])
-                iteration = int(rec["iteration"])
-                value = float(rec["value"])
+                rows.append(
+                    (rec["parameter"], int(rec["chain"]), int(rec["iteration"]), float(rec["value"]))
+                )
             except (TypeError, ValueError):
                 raise SchemaError(f"{path}:{lineno}: malformed draw row") from None
-            series.setdefault(rec["parameter"], {}).setdefault(chain, []).append(
-                (iteration, value)
-            )
-    if not series:
+    if not rows:
         raise SchemaError(f"{path}: no draws found")
     param_chains: dict[str, list[np.ndarray]] = {}
-    for name, by_chain in series.items():
-        chains = []
-        for chain in sorted(by_chain):
-            rows = sorted(by_chain[chain])
-            chains.append(np.array([v for _, v in rows]))
-        param_chains[name] = chains
-    report = diagnostics_report(param_chains)
-    with open(out_dir / "diagnostics.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_manifest(out_dir, "diagnose", config, [path], ["diagnostics.json"])
+    for (name, _), chain in itertools.groupby(sorted(rows), key=operator.itemgetter(0, 1)):
+        param_chains.setdefault(name, []).append(np.array([row[3] for row in chain]))
+    _write_json(out_dir / "diagnostics.json", diagnostics_report(param_chains))
+    _write_manifest(out_dir, "diagnose", config, ["draws"], ["diagnostics.json"])
     return ["diagnostics.json"]
 
 
@@ -437,13 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("fit", "fit a model and write predictions"),
-        ("basis", "build and cache the spatial basis"),
-        ("simulate", "run a perturb-and-refit study"),
-        ("diagnose", "recompute diagnostics from a draw dump"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
+    for name, command in COMMANDS.items():  # a command's help is its docstring
+        cmd = sub.add_parser(name, help=command.__doc__)
         cmd.add_argument("config", help="flat key = value config file")
         cmd.add_argument("--seed", type=int, help="override the config seed")
         cmd.add_argument("--chains", type=int, help="override the number of chains")
@@ -455,19 +424,18 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = read_config(args.config)
-        if args.seed is not None:
-            config["seed"] = args.seed
-        if args.chains is not None:
-            config["chains"] = args.chains
-        if args.out is not None:
-            config["out"] = args.out
+        for key in ("seed", "chains", "out"):
+            if getattr(args, key) is not None:
+                config[key] = getattr(args, key)
         out_dir = Path(config["out"])
         out_dir.mkdir(parents=True, exist_ok=True)
         outputs = COMMANDS[args.command](config, out_dir)
     except AreamixError as exc:
         print(f"areamix: {exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a path from the config or its flags that cannot be opened
+        if exc.filename is None:
+            raise
         print(f"areamix: config error: {exc}", file=sys.stderr)
         return 2
     for name in outputs:

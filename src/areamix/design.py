@@ -9,6 +9,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError, DuplicateKeyError, SchemaError, UnknownAreaError
+from .util import open_text
 
 
 def read_population_csv(path: str | Path) -> dict[str, float]:
@@ -19,7 +20,7 @@ def read_population_csv(path: str | Path) -> dict[str, float]:
     """
     out: dict[str, float] = {}
     first_data_row = True
-    with open(path, newline="") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(csv.reader(fh), start=1):
             if not raw or (len(raw) == 1 and not raw[0].strip()):
                 continue

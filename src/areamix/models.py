@@ -1,10 +1,12 @@
 """The model table: one record per model, read by the CLI and the study.
 
-Adding a model means adding a row here, a sampler, and its branch at the
-two call sites that pick the sampler (``cli._fit_one_chain`` and
-``simulate._fit_model``); nothing else dispatches on a model name.  Those
-two branches stay, rather than a fit call on ``Model``, because the
-benchmark wraps the samplers where ``cli`` and ``simulate`` bind them.
+Adding a model means adding a row here, its config class and sampler,
+and its branch where ``cli._fit_one_chain`` and ``simulate._fit_model``
+pick the sampler; nothing else dispatches on a model name.  Those two
+branches stay, rather than a fit call on ``Model``, because the benchmark
+wraps the samplers where ``cli`` and ``simulate`` bind them.  A new
+hyperparameter is a field with a default on each config class that uses
+it; the CLI makes it a config key, one key for every class sharing it.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ study is reproducible whether replicates run serially or in a pool.
 from __future__ import annotations
 
 import csv
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -36,22 +37,28 @@ def perturb(z, d, rng: np.random.Generator) -> np.ndarray:
     return z + rng.normal(0.0, np.sqrt(d))
 
 
-def mab(pred, truth) -> float:
-    """Median absolute error (midpoint of the central pair when even)."""
+def _errors(pred, truth) -> np.ndarray:
     pred = np.asarray(pred, dtype=float).ravel()
     truth = np.asarray(truth, dtype=float).ravel()
     if pred.shape != truth.shape or pred.size == 0:
         raise ShapeError("prediction and truth must be nonempty and congruent")
-    return float(np.median(np.abs(pred - truth)))
+    return pred - truth
+
+
+def mab(pred, truth) -> float:
+    """Median absolute error (midpoint of the central pair when even)."""
+    return float(np.median(np.abs(_errors(pred, truth))))
 
 
 def amse(pred, truth) -> float:
     """Average squared error."""
-    pred = np.asarray(pred, dtype=float).ravel()
-    truth = np.asarray(truth, dtype=float).ravel()
-    if pred.shape != truth.shape or pred.size == 0:
-        raise ShapeError("prediction and truth must be nonempty and congruent")
-    return float(np.mean((pred - truth) ** 2))
+    return float(np.mean(_errors(pred, truth) ** 2))
+
+
+# the study's scores of a prediction against the truth, in column order
+METRICS = {"mab": mab, "amse": amse}
+# a summary's statistics of one model's scores, in column order
+SUMMARY_STATISTICS = ("min", "q1", "median", "q3", "max")
 
 
 @dataclass
@@ -88,7 +95,7 @@ class StudyConfig:
 
 @dataclass(frozen=True)
 class StudyResult:
-    """Scores per (replicate, model), with failures kept separate."""
+    """Rows (replicate, model, *scores), a score per METRICS entry; failures kept apart."""
 
     rows: tuple[tuple[int, str, float, float], ...]
     divergent: tuple[tuple[int, str, str], ...]
@@ -98,7 +105,7 @@ class StudyResult:
     master_seed: int
 
     def scores(self, model: str, metric: str) -> np.ndarray:
-        col = {"mab": 2, "amse": 3}[metric]
+        col = 2 + list(METRICS).index(metric)
         return np.array([row[col] for row in self.rows if row[1] == model])
 
     def summary(self) -> dict:
@@ -106,20 +113,14 @@ class StudyResult:
         for model in self.models:
             n_div = sum(1 for rec in self.divergent if rec[1] == model)
             out[model] = {"n_divergent": n_div}
-            for metric in ("mab", "amse"):
+            for metric in METRICS:
                 vals = self.scores(model, metric)
                 if vals.size == 0:
                     out[model][metric] = None
                     continue
-                q1, med, q3 = np.percentile(vals, [25.0, 50.0, 75.0])
-                out[model][metric] = {
-                    "min": float(vals.min()),
-                    "q1": float(q1),
-                    "median": float(med),
-                    "q3": float(q3),
-                    "max": float(vals.max()),
-                    "n": int(vals.size),
-                }
+                quartiles = np.percentile(vals, [25.0, 50.0, 75.0])
+                stats = map(float, (vals.min(), *quartiles, vals.max()))
+                out[model][metric] = {**dict(zip(SUMMARY_STATISTICS, stats)), "n": int(vals.size)}
         return out
 
 
@@ -148,7 +149,7 @@ def _replicate_task(args) -> tuple[list, list, float | None]:
             failures.append((rep, model, str(exc)))
             continue
         pred = fit.y.mean(axis=0)  # scoring uses log-scale posterior means
-        rows.append((rep, model, mab(pred, z_truth), amse(pred, z_truth)))
+        rows.append((rep, model, *(score(pred, z_truth) for score in METRICS.values())))
         draws = getattr(fit, "assignments", None)  # mixture fits carry partitions
         if draws is not None and config.reference_groups is not None:
             ref = np.asarray(config.reference_groups).ravel()
@@ -172,6 +173,9 @@ def run_study(
     """
     config = config or StudyConfig()
     config.validate()
+    needing = [name for name in config.models if MODELS[name].needs_basis]
+    if basis is None and needing:
+        raise DomainError(f"models {needing} need a basis, and none was given")
     z_truth = np.asarray(truth.z, dtype=float).ravel()
     d = np.asarray(truth.d, dtype=float).ravel()
     if np.any(~np.isfinite(d)) or np.any(d <= 0):
@@ -207,36 +211,22 @@ def write_study_csv(result: StudyResult, path: str | Path) -> None:
     """Per-replicate scores, one row per (replicate, model)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["replicate", "model", "mab", "amse"])
-        for rep, model, mab_val, amse_val in result.rows:
-            writer.writerow([rep, model, format_value(mab_val), format_value(amse_val)])
+        writer.writerow(["replicate", "model", *METRICS])
+        for rep, model, *scores in result.rows:
+            writer.writerow([rep, model, *map(format_value, scores)])
 
 
 def write_study_summary_csv(result: StudyResult, path: str | Path) -> None:
     """Boxplot-ready quantile block per model and metric."""
     summary = result.summary()
+    # a metric without scores has blank statistics: format_value writes NaN blank
+    unscored = {**dict.fromkeys(SUMMARY_STATISTICS, math.nan), "n": 0}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["model", "metric", "min", "q1", "median", "q3", "max", "n_scored", "n_divergent"]
-        )
+        writer.writerow(["model", "metric", *SUMMARY_STATISTICS, "n_scored", "n_divergent"])
         for model in result.models:
             block = summary[model]
-            for metric in ("mab", "amse"):
-                stats = block[metric]
-                if stats is None:
-                    writer.writerow([model, metric, "", "", "", "", "", 0, block["n_divergent"]])
-                    continue
-                writer.writerow(
-                    [
-                        model,
-                        metric,
-                        format_value(stats["min"]),
-                        format_value(stats["q1"]),
-                        format_value(stats["median"]),
-                        format_value(stats["q3"]),
-                        format_value(stats["max"]),
-                        stats["n"],
-                        block["n_divergent"],
-                    ]
-                )
+            for metric in METRICS:
+                stats = block[metric] or unscored
+                values = [format_value(stats[name]) for name in SUMMARY_STATISTICS]
+                writer.writerow([model, metric, *values, stats["n"], block["n_divergent"]])

@@ -10,6 +10,7 @@ import numpy as np
 from scipy.sparse import csgraph, csr_array
 
 from .errors import DomainError, SchemaError, ShapeError, UnknownAreaError
+from .util import open_text
 
 
 def read_edge_list(path: str | Path) -> list[tuple[str, str]]:
@@ -18,7 +19,7 @@ def read_edge_list(path: str | Path) -> list[tuple[str, str]]:
     Blank lines and lines starting with ``#`` are ignored.
     """
     edges: list[tuple[str, str]] = []
-    with open(path) as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

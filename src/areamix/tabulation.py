@@ -24,6 +24,7 @@ from .errors import (
     ShapeError,
 )
 from .loess import loess_fit
+from .util import format_value, open_text
 
 DEFAULT_COLUMNS = {
     "state": "state",
@@ -109,7 +110,7 @@ def load_tabulation(
         names.update(columns)
 
     rows: dict[tuple[str, int], tuple[float, float, float | None]] = {}
-    with open(path, newline="") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         first = next(reader, None)
         if first is None:
@@ -399,8 +400,6 @@ PREDICTION_COLUMNS = [
 
 def write_prediction_csv(path: str | Path, log_table: LogTable, summary: PredictionSummary) -> None:
     """Write per-entry predictions next to the direct estimates."""
-    from .util import format_value
-
     n = log_table.n_rows
     for name, arr in (
         ("log_mean", summary.log_mean),

@@ -1,14 +1,17 @@
-"""Small shared helpers: seed derivation, hashing, CSV formatting, Rand index."""
+"""Small shared helpers: seed derivation, hashing, text input, CSV formatting, Rand index."""
 
 from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import SchemaError, ShapeError
 
 
 def derive_seed(*parts: int) -> int:
@@ -34,6 +37,18 @@ def sha256_file(path: str | Path) -> str:
         for block in iter(lambda: fh.read(1 << 20), b""):
             h.update(block)
     return h.hexdigest()
+
+
+@contextmanager
+def open_text(path: str | Path) -> Iterator[TextIO]:
+    """Open a UTF-8 text input for reading, as the csv module wants it
+    (``newline=""``); a byte sequence that is not UTF-8 raises
+    SchemaError naming the file."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def format_value(value) -> str:

@@ -73,6 +73,16 @@ class TestMoranOperator:
         with pytest.raises(DomainError):
             moran_operator(x, bad)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_design(self, value):
+        # a NaN entry stopped the SVD converging (LinAlgError); an inf read as a RankError
+        a = random_connected_adjacency(9, np.random.default_rng(5))
+        x = np.column_stack([np.ones(9), np.arange(9.0)])
+        x[4, 1] = value
+        for build in (moran_operator, build_basis):
+            with pytest.raises(DomainError, match="design entries must be finite"):
+                build(x, a)
+
     @pytest.mark.parametrize(
         "entry, value, message",
         [((1, 1), 1.0, "zero diagonal"), ((0, 2), -1.0, "nonnegative")],

@@ -286,6 +286,37 @@ class TestErrorExits:
         )
         assert main(["fit", str(cfg), "--out", str(tmp_path / 'x')]) == 2
 
+    @pytest.mark.parametrize("key", ["tabulation", "adjacency", "population"])
+    def test_input_directory_is_config_error(self, fixture10, tmp_path, capsys, key):
+        # reading a directory raised IsADirectoryError: a traceback and exit 1
+        cfg = fit_config(fixture10, tmp_path, **{key: tmp_path})
+        assert main(["fit", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("areamix: config error: ")
+        assert f"Is a directory: '{tmp_path}'" in err
+
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys):
+        assert main(["fit", str(tmp_path), "--out", str(tmp_path / "x")]) == 2
+        assert f"config error: cannot read config {tmp_path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["tabulation", "adjacency", "population", "draws"])
+    def test_input_not_utf8_is_data_error(self, fixture10, tmp_path, capsys, key):
+        # a Latin-1 byte raised UnicodeDecodeError: a traceback and exit 1
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"caf\xe9,1\n")
+        command = "diagnose" if key == "draws" else "fit"
+        cfg = fit_config(fixture10, tmp_path, **{key: bad})
+        assert main([command, str(cfg), "--out", str(tmp_path / "x")]) == 3
+        assert capsys.readouterr().err == (
+            f"areamix: data error: {bad}: not UTF-8 text (invalid continuation byte)\n"
+        )
+
+    def test_config_not_utf8_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"# caf\xe9\nseed = 1\n")
+        assert main(["fit", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert f"config error: cannot read config {cfg}: " in capsys.readouterr().err
+
     def test_bad_data_is_data_error(self, fixture10, tmp_path, capsys):
         bad = write_csv(
             tmp_path / "bad.csv", "state,county,order,count,std_err\n19,001,1,-4,1.0\n"
@@ -395,6 +426,55 @@ class TestManifest:
             assert digest == sha256_file(name)
         assert manifest["config"]["model"] == "fh"
         assert "config_sha256" in manifest
+
+    def test_default_config_section(self, tmp_path):
+        # every key, value and type of a config that names only its input
+        draws = write_csv(tmp_path / "draws.csv", "chain,iteration,parameter,value\n0,0,a,1.0\n")
+        cfg = write_csv(tmp_path / "d.cfg", f"draws = {draws}\n")
+        out = tmp_path / "out"
+        assert main(["diagnose", str(cfg), "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        expected = DEFAULT_CONFIG | {"draws": str(draws), "out": str(out)}
+        assert [(k, v, type(v)) for k, v in config.items()] == [
+            (k, expected[k], type(expected[k])) for k in sorted(expected)
+        ]
+
+
+# the config section of every manifest when the config file sets no other key
+DEFAULT_CONFIG = {
+    "a_alpha": 1.0,
+    "a_eta": 0.1,
+    "a_sigma": 0.1,
+    "adjacency": None,
+    "algorithm": "truncated",
+    "b_alpha": 4.0,
+    "b_eta": 0.1,
+    "b_sigma": 0.1,
+    "basis_cache": None,
+    "basis_fraction": 0.5,
+    "basis_r": None,
+    "burn_in": None,
+    "chains": 2,
+    "col_count": None,
+    "col_county": None,
+    "col_order": None,
+    "col_sample_size": None,
+    "col_state": None,
+    "col_std_err": None,
+    "gvf_span": 0.75,
+    "iterations": None,
+    "model": "msmm",
+    "models": "msmm,fh",
+    "population": None,
+    "replicates": 100,
+    "seed": 0,
+    "sigma2_beta": 100.0,
+    "tabulation": None,
+    "thin": 1,
+    "truncation_m": 25,
+    "workers": 1,
+    "write_draws": True,
+}
 
 
 def spy(monkeypatch, calls: list, module, name: str) -> None:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -68,6 +69,15 @@ def test_explicit_iterations_override_table_defaults(tmp_path):
     for model in MODELS.values():
         cfg = _model_config(config, model)
         assert (cfg.iterations, cfg.burn_in) == (90, 30)
+
+
+def test_config_classes_agree_on_shared_defaults():
+    # one config key feeds every model whose config class has the field
+    defaults: dict[str, set] = {}
+    for model in MODELS.values():
+        for f in fields(model.config_class):
+            defaults.setdefault(f.name, set()).add((f.type, f.default))
+    assert {name: seen for name, seen in defaults.items() if len(seen) > 1} == {}
 
 
 SAMPLERS = [

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,9 @@ from areamix import (
     write_study_csv,
     write_study_summary_csv,
 )
+from areamix import simulate
 from areamix.models import MODELS
+from areamix.simulate import StudyResult
 
 
 def quick_config(**kwargs) -> StudyConfig:
@@ -140,6 +143,19 @@ class TestRunStudy:
         with pytest.raises(DomainError):
             run_study(bad, x, basis, quick_config())
 
+    @pytest.mark.parametrize("models", [("msm",), ("fh", "msmm")])
+    def test_model_needing_a_basis_without_one(self, small_inputs, monkeypatch, models):
+        # the sampler would fail on basis.n inside every replicate (and pool worker)
+        study, x, _, _ = small_inputs
+
+        def no_replicate(*args, **kwargs):
+            raise AssertionError("a replicate ran without the basis its model needs")
+
+        monkeypatch.setattr(simulate, "_replicate_task", no_replicate)
+        needing = [name for name in models if MODELS[name].needs_basis]
+        with pytest.raises(DomainError, match=re.escape(f"models {needing} need a basis")):
+            run_study(study.truth, x, None, quick_config(models=models))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_fit_recorded_not_raised(self, small_inputs):
         study, x, _, basis = small_inputs
@@ -200,3 +216,21 @@ class TestStudyCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "model,metric,min,q1,median,q3,max,n_scored,n_divergent"
         assert len(lines) == 1 + 2 * 2  # two models x two metrics
+
+    def test_summary_file_blanks_an_unscored_model(self, tmp_path):
+        result = StudyResult(
+            rows=((0, "fh", 0.5, 0.25),),
+            divergent=((0, "msm", "diverged"),),
+            rand={},
+            models=("msm", "fh"),
+            replicates=1,
+            master_seed=0,
+        )
+        path = tmp_path / "summary.csv"
+        write_study_summary_csv(result, path)
+        assert path.read_text().splitlines()[1:] == [
+            "msm,mab,,,,,,0,1",
+            "msm,amse,,,,,,0,1",
+            "fh,mab,0.5,0.5,0.5,0.5,0.5,1,0",
+            "fh,amse,0.25,0.25,0.25,0.25,0.25,1,0",
+        ]
