@@ -379,13 +379,15 @@ def cmd_diagnose(config: dict, out_dir: Path) -> list[str]:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not set(DRAW_COLUMNS).issubset(reader.fieldnames):
             raise SchemaError(f"{path}: draw dump needs columns {sorted(DRAW_COLUMNS)}")
-        for lineno, rec in enumerate(reader, start=2):
+        for rec in reader:
             try:
+                if rec["parameter"] is None:  # the row ends before its parameter
+                    raise ValueError
                 rows.append(
                     (rec["parameter"], int(rec["chain"]), int(rec["iteration"]), float(rec["value"]))
                 )
             except (TypeError, ValueError):
-                raise SchemaError(f"{path}:{lineno}: malformed draw row") from None
+                raise SchemaError(f"{path}:{reader.line_num}: malformed draw row") from None
     if not rows:
         raise SchemaError(f"{path}: no draws found")
     param_chains: dict[str, list[np.ndarray]] = {}

@@ -34,7 +34,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -58,8 +58,11 @@ def _log_weights(sticks: np.ndarray) -> np.ndarray:
     """log pi of the K + 1 weights of K sticks held as (log V, log(1 - V)) rows:
     log V_k + sum_{b<k} log(1 - V_b), then the mass past them."""
     log_v, log_w = sticks
-    past = np.concatenate([[0.0], np.cumsum(log_w)])
-    return np.append(log_v + past[:-1], past[-1])
+    log_pi = np.empty(log_w.size + 1)
+    log_pi[0] = 0.0
+    np.cumsum(log_w, out=log_pi[1:])  # sum_{b<k} log(1 - V_b), k = 0..K
+    log_pi[:-1] += log_v
+    return log_pi
 
 
 def _beta_logs(rng, a, b) -> np.ndarray:
@@ -97,10 +100,10 @@ def crp_simulate(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
 def canonicalize_labels(labels) -> np.ndarray:
     """Relabel clusters 0,1,2,... in order of first appearance."""
     labels = np.asarray(labels).ravel()
-    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    rank = np.empty(first.size, dtype=np.int32)
-    rank[np.argsort(first)] = np.arange(first.size, dtype=np.int32)
-    return rank[inverse]
+    # the distinct labels in order of first appearance; a label's rank is its place here
+    distinct = np.fromiter(dict.fromkeys(labels.tolist()), dtype=labels.dtype)
+    order = np.argsort(distinct)
+    return order.astype(np.int32)[np.searchsorted(distinct[order], labels)]
 
 
 @dataclass
@@ -180,7 +183,7 @@ def _draw_atoms(rng, stats, base: BaseMeasure, chol_k, config: MixtureConfig, t:
         config.a_eta, config.b_eta, occupied * base.r, eta_quad, t
     )
     sigma2_eta = draw_inverse_gamma(rng, shape, scale)
-    fresh = replace(base, sigma2_eta=sigma2_eta)
+    fresh = base.at(sigma2_eta)
     for m in empty:
         atoms[m] = fresh.draw(rng, chol_k)
     theta = np.array(atoms)
@@ -294,7 +297,8 @@ def _switch_labels(rng, c: np.ndarray, sticks: np.ndarray, alpha: float):
             log_w[j], log_w[j + 1] = w_swap, log_w[j] + log_w[j + 1] - w_swap
             counts[j], counts[j + 1] = counts[j + 1], counts[j]
             slot[j], slot[j + 1] = slot[j + 1], slot[j]
-            top = max(m for m, count in enumerate(counts) if count)
+            if j + 1 >= top:  # the last occupied one took part: it is now j + 1 or j
+                top = j + 1 if counts[j + 1] else j
         j += 1
     return np.argsort(slot)[c], np.array([log_v[: top + 1], log_w[: top + 1]])
 
@@ -328,10 +332,10 @@ def fit_msmm_dp(
     rng = np.random.default_rng(config.seed)
 
     alpha = config.alpha_fixed if config.alpha_fixed is not None else 1.0
-    sigma2_eta = 1.0
+    base = BaseMeasure.from_basis(basis, p, config.sigma2_beta, 1.0)
     c = crp_simulate(alpha, rows.n, rng)
     sticks = _draw_sticks(rng, np.bincount(c, minlength=c.max() + 2), alpha)
-    prec0 = BaseMeasure.from_basis(basis, p, config.sigma2_beta, sigma2_eta).prior_precision()
+    prec0 = base.prior_precision()
     theta = np.array(
         [
             _gaussian_draw(rng, _cholesky(prec0 + f, "atom posterior precision"), g)
@@ -341,7 +345,6 @@ def fit_msmm_dp(
 
     draws = DrawRecorder(config)
     for t in range(config.iterations):
-        base = BaseMeasure.from_basis(basis, p, config.sigma2_beta, sigma2_eta)
         pi = np.exp(_log_weights(sticks))  # the K weights, then the mass past them
         s = pi[c] * rng.random(rows.n)
         rest, s_min = pi[-1], s.min()
@@ -358,6 +361,7 @@ def fit_msmm_dp(
         c, sticks = _switch_labels(rng, c, sticks, alpha)
         stats = _component_sums(rows, c, sticks.shape[1])
         theta, k_occ, sigma2_eta = _draw_atoms(rng, stats, base, chol_k, config, t)
+        base = base.at(sigma2_eta)
         alpha = _draw_alpha(rng, sticks, alpha, config)
         _record(draws, t, rows, theta, c, alpha, sigma2_eta, k_occ)
 
@@ -382,7 +386,7 @@ def fit_msmm_truncated(
 
     theta = np.zeros((m_comp, p + basis.r))
     alpha = config.alpha_fixed if config.alpha_fixed is not None else 1.0
-    sigma2_eta = 1.0
+    base = BaseMeasure.from_basis(basis, p, config.sigma2_beta, 1.0)
     sticks = _beta_logs(rng, np.ones(m_comp - 1), alpha)
 
     draws = DrawRecorder(config)
@@ -390,9 +394,9 @@ def fit_msmm_truncated(
         c = _assign(rng, rows, theta, _log_weights(sticks))
         sticks = _draw_sticks(rng, np.bincount(c, minlength=m_comp), alpha)
 
-        base = BaseMeasure.from_basis(basis, p, config.sigma2_beta, sigma2_eta)
         stats = _component_sums(rows, c, m_comp)
         theta, k_occ, sigma2_eta = _draw_atoms(rng, stats, base, chol_k, config, t)
+        base = base.at(sigma2_eta)
         alpha = _draw_alpha(rng, sticks, alpha, config)
         _record(draws, t, rows, theta, c, alpha, sigma2_eta, k_occ)
 

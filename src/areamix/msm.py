@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import get_lapack_funcs
 
 from .basis import MoranBasis
 from .errors import DefinitenessError, DivergenceError, DomainError, ShapeError
@@ -200,11 +200,15 @@ class BaseMeasure:
             k_inv=basis.k_inv,
         )
 
+    def at(self, sigma2_eta: float) -> "BaseMeasure":
+        """This measure at another sigma2_eta."""
+        return BaseMeasure(self.p, self.sigma2_beta, sigma2_eta, self.k, self.k_inv)
+
     def prior_precision(self) -> np.ndarray:
-        q = self.dim
+        q, p = self.dim, self.p
         prec = np.zeros((q, q))
-        prec[: self.p, : self.p] = np.eye(self.p) / self.sigma2_beta
-        prec[self.p :, self.p :] = self.k_inv / self.sigma2_eta
+        np.fill_diagonal(prec[:p, :p], 1.0 / self.sigma2_beta)
+        np.divide(self.k_inv, self.sigma2_eta, out=prec[p:, p:])
         return prec
 
     def draw(self, rng: np.random.Generator, chol_k: np.ndarray) -> np.ndarray:
@@ -338,15 +342,26 @@ def _cholesky(matrix: np.ndarray, what: str, hint: str = _K_HINT) -> np.ndarray:
     return chol
 
 
+_trtrs = get_lapack_funcs("trtrs", dtype=np.float64)
+
+
 def _gaussian_draw(rng: np.random.Generator, chol: np.ndarray, g: np.ndarray) -> np.ndarray:
     """One draw from N(P^{-1} g, P^{-1}) given the Cholesky factor C of P = C C'.
 
     The draw is C'^{-1}(C^{-1} g + e), e standard normal: the mean
-    C'^{-1} C^{-1} g plus C'^{-1} e in one back-substitution.
+    C'^{-1} C^{-1} g plus C'^{-1} e in one back-substitution.  Both solves
+    call LAPACK trtrs directly, on the Fortran-ordered view C' of numpy's
+    C-ordered factor, as scipy's ``solve_triangular`` does for it, minus
+    that wrapper's checks; a zero on C's diagonal raises DefinitenessError.
     """
-    half = solve_triangular(chol, g, lower=True, check_finite=False)
-    half += rng.standard_normal(g.size)
-    return solve_triangular(chol.T, half, lower=False, check_finite=False)
+    c_t = chol.T
+    half, info = _trtrs(c_t, g, lower=False, trans=1)
+    if info == 0:
+        half += rng.standard_normal(g.size)
+        theta, info = _trtrs(c_t, half, lower=False, trans=0, overwrite_b=True)
+    if info != 0:
+        raise DefinitenessError(f"Cholesky factor is singular (LAPACK trtrs info {info})")
+    return theta
 
 
 def _diagonalise(f, g, base: BaseMeasure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -167,6 +167,20 @@ class TestDiagnoseCommand:
         assert main(["diagnose", str(dcfg), "--out", str(tmp_path / 'x')]) == 3
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("0,0,1.0,a\n0,1,2.0\n", 3),  # ends before its parameter
+            ("\n\n0,0,x,a\n", 4),  # blank lines count toward the line number
+        ],
+        ids=["short_row", "after_blank_lines"],
+    )
+    def test_malformed_row_names_its_line(self, tmp_path, capsys, body, line):
+        draws = write_csv(tmp_path / "draws.csv", "chain,iteration,value,parameter\n" + body)
+        dcfg = write_csv(tmp_path / "d.cfg", f"draws = {draws}\n")
+        assert main(["diagnose", str(dcfg), "--out", str(tmp_path / 'x')]) == 3
+        assert f"draws.csv:{line}: malformed draw row" in capsys.readouterr().err
+
     def test_missing_draws_key(self, tmp_path, capsys):
         dcfg = write_csv(tmp_path / "d.cfg", "seed = 1\n")
         assert main(["diagnose", str(dcfg), "--out", str(tmp_path / 'x')]) == 2

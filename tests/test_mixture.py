@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from areamix import (
     DefinitenessError,
     DivergenceError,
     DomainError,
+    FhConfig,
     MixtureConfig,
     MoranBasis,
     MsmConfig,
@@ -21,11 +22,12 @@ from areamix import (
     build_design,
     crp_simulate,
     expand_multivariate,
+    fit_fh,
     fit_msm,
     fit_msmm_dp,
     fit_msmm_truncated,
 )
-from areamix import mixture, msm
+from areamix import fh, mixture, msm
 from areamix.diagnostics import batch_means_se
 from areamix.mixture import canonicalize_labels
 from areamix.synthetic import two_field_study
@@ -355,6 +357,13 @@ class TestBatchedKernel:
         assert np.array_equal(blocks[-1, -1], np.zeros(p + r))
 
 
+def scipy_gaussian_draw(rng, chol, g):
+    """msm._gaussian_draw through scipy's solve_triangular: its test oracle."""
+    half = solve_triangular(chol, g, lower=True, check_finite=False)
+    half += rng.standard_normal(g.size)
+    return solve_triangular(chol.T, half, lower=False, check_finite=False)
+
+
 class TestAtomDraw:
     def test_matches_cluster_posterior(self, base_measure, cluster_data):
         # one draw is the posterior mean plus chol'^{-1} e, chol the Cholesky
@@ -383,6 +392,50 @@ class TestAtomDraw:
             want = mean + solve_triangular(chol.T, e, lower=False)
             got = msm._gaussian_draw(np.random.default_rng(q), chol, g)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("q", [1, 3, 8, 20, 167])
+    def test_bit_identical_to_scipy_solves(self, q):
+        # the direct LAPACK calls make the same solves as scipy's wrapper does
+        # for numpy's C-ordered factor, so the draw keeps every bit
+        rng = np.random.default_rng(73 + q)
+        a = rng.normal(size=(q, q))
+        chol = np.linalg.cholesky(a @ a.T + q * np.eye(q))
+        g = rng.normal(scale=5.0, size=q)
+        want = scipy_gaussian_draw(np.random.default_rng(q), chol, g)
+        got = msm._gaussian_draw(np.random.default_rng(q), chol, g)
+        assert np.array_equal(got, want)
+
+    def test_zero_on_the_factor_diagonal_raises(self):
+        chol = np.linalg.cholesky(np.diag([4.0, 1.0, 9.0]))
+        chol[1, 1] = 0.0
+        with pytest.raises(DefinitenessError):
+            msm._gaussian_draw(np.random.default_rng(0), chol, np.ones(3))
+
+    @pytest.mark.parametrize(
+        "module, fit",
+        [(mixture, fit_msmm_truncated), (mixture, fit_msmm_dp), (fh, fit_fh)],
+        ids=["truncated", "dp", "fh"],
+    )
+    def test_samplers_match_the_scipy_oracle(self, small_inputs, monkeypatch, module, fit):
+        # every sampler that draws through _gaussian_draw gives the same chain
+        # when the scipy form is bound in its place
+        study, x, _, basis = small_inputs
+        args = (study.truth.z, study.truth.d, x) + ((basis,) if module is mixture else ())
+        config = (MixtureConfig if module is mixture else FhConfig)(
+            iterations=40, burn_in=10, seed=9
+        )
+        want = fit(*args, config)
+        calls = []
+
+        def oracle(*draw_args):
+            calls.append(1)
+            return scipy_gaussian_draw(*draw_args)
+
+        monkeypatch.setattr(module, "_gaussian_draw", oracle)
+        got = fit(*args, config)
+        assert calls
+        for field in fields(want):
+            assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
 
     @pytest.mark.parametrize("fit", [fit_msmm_truncated, fit_msmm_dp], ids=["truncated", "dp"])
     @pytest.mark.parametrize("k_scale", [-0.01, 1.0], ids=["kernel", "precision"])
