@@ -181,14 +181,10 @@ def select_basis(
             f"request resolves to an empty basis ({n_positive} positive eigenvalues)"
         )
     order = np.argsort(w)[::-1][:r_eff]
-    eigenvalues = w[order].copy()
-    psi = v[:, order].copy()
-    for j in range(r_eff):
-        col = psi[:, j]
-        lead = int(np.argmax(np.abs(col)))
-        if col[lead] < 0:
-            psi[:, j] = -col
-    return psi, eigenvalues, n_positive
+    psi = np.take(v, order, axis=1)  # C-ordered, as the cache writes it
+    lead = psi[np.argmax(np.abs(psi), axis=0), np.arange(r_eff)]
+    psi *= np.where(lead < 0, -1.0, 1.0)
+    return psi, w[order], n_positive
 
 
 def basis_precision(psi: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -82,8 +82,9 @@ def _beta_logs(rng, a, b) -> np.ndarray:
 
 
 def crp_simulate(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """One partition of n items by sequential seating (labels 0-based)."""
-    if alpha <= 0 or n < 1:
+    """One partition of n items by sequential seating (labels 0-based); an
+    infinite alpha seats every item alone, and a NaN one is a DomainError."""
+    if not alpha > 0 or n < 1:
         raise DomainError("alpha must be positive and n >= 1")
     labels = np.zeros(n, dtype=int)
     counts: list[int] = [1]
@@ -332,7 +333,7 @@ def fit_msmm_dp(
     rng = np.random.default_rng(config.seed)
 
     alpha = config.alpha_fixed if config.alpha_fixed is not None else 1.0
-    base = BaseMeasure.from_basis(basis, p, config.sigma2_beta, 1.0)
+    base = BaseMeasure(p, config.sigma2_beta, 1.0, basis.k, basis.k_inv)
     c = crp_simulate(alpha, rows.n, rng)
     sticks = _draw_sticks(rng, np.bincount(c, minlength=c.max() + 2), alpha)
     prec0 = base.prior_precision()
@@ -386,7 +387,7 @@ def fit_msmm_truncated(
 
     theta = np.zeros((m_comp, p + basis.r))
     alpha = config.alpha_fixed if config.alpha_fixed is not None else 1.0
-    base = BaseMeasure.from_basis(basis, p, config.sigma2_beta, 1.0)
+    base = BaseMeasure(p, config.sigma2_beta, 1.0, basis.k, basis.k_inv)
     sticks = _beta_logs(rng, np.ones(m_comp - 1), alpha)
 
     draws = DrawRecorder(config)

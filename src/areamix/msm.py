@@ -16,8 +16,8 @@ coefficient posterior in these parts:
 * ``_component_sums`` forms F = U' D^{-1} U and g = U' D^{-1} z of
   every component of a labelling, summed per (area, component) from the
   whitened rows of ``_Rows``.  The mixture samplers (``mixture``) draw
-  each component's atom from them, and ``fit_msm`` is the one-component
-  call (``_data_precision``).
+  each component's atom from them, and ``fit_msm`` makes the
+  one-component call.
 * ``fit_msm`` then uses that only sigma2_eta moves P between sweeps,
   along B = blockdiag(0, K^{-1}) alone: it diagonalises P against B once
   per fit (``_diagonalise``) and draws theta and sigma2_eta in O(p + r)
@@ -188,18 +188,6 @@ class BaseMeasure:
     def dim(self) -> int:
         return self.p + self.r
 
-    @classmethod
-    def from_basis(
-        cls, basis: MoranBasis, p: int, sigma2_beta: float, sigma2_eta: float
-    ) -> "BaseMeasure":
-        return cls(
-            p=p,
-            sigma2_beta=float(sigma2_beta),
-            sigma2_eta=float(sigma2_eta),
-            k=basis.k,
-            k_inv=basis.k_inv,
-        )
-
     def at(self, sigma2_eta: float) -> "BaseMeasure":
         """This measure at another sigma2_eta."""
         return BaseMeasure(self.p, self.sigma2_beta, sigma2_eta, self.k, self.k_inv)
@@ -319,12 +307,6 @@ def _component_sums(rows: _Rows, c: np.ndarray, m_comp: int):
         yield f, np.concatenate([top[:, p], cross[:, p]])
 
 
-def _data_precision(rows: _Rows) -> tuple[np.ndarray, np.ndarray]:
-    """F = U' D^{-1} U and g = U' D^{-1} z over every row: the one-component
-    call of ``_component_sums``."""
-    return next(_component_sums(rows, np.zeros(rows.n, dtype=np.intp), 1))
-
-
 _K_HINT = "check that the basis precision K^{-1} is positive definite"
 
 
@@ -415,8 +397,9 @@ def fit_msm(z, d, x, basis: MoranBasis, config: MsmConfig | None = None) -> Post
     p, r = rows.p, basis.r
 
     rng = np.random.default_rng(config.seed)
-    base = BaseMeasure.from_basis(basis, p, config.sigma2_beta, 1.0)
-    mu, v, t = _diagonalise(*_data_precision(rows), base)
+    base = BaseMeasure(p, config.sigma2_beta, 1.0, basis.k, basis.k_inv)
+    f, g = next(_component_sums(rows, np.zeros(rows.n, dtype=np.intp), 1))
+    mu, v, t = _diagonalise(f, g, base)
     fixed = config.sigma2_eta_fixed
     sigma2_eta = 1.0 if fixed is None else float(fixed)
 

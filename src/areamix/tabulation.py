@@ -251,9 +251,7 @@ def gvf_impute(log_table: LogTable, span: float = 0.75) -> LogTable:
         )
     smoother = loess_fit(predictor[defined], d[defined], span=span)
     filled = d.copy()
-    if not defined.all():
-        pred = smoother(predictor[~defined])
-        filled[~defined] = np.maximum(np.atleast_1d(pred), IMPUTATION_FLOOR)
+    filled[~defined] = np.maximum(smoother(predictor[~defined]), IMPUTATION_FLOOR)
     return replace(log_table, d=filled, imputed=~defined)
 
 
@@ -280,10 +278,6 @@ class PredictionSummary:
 # the draws is made.
 _BLOCK_BYTES = 512 * 1024
 
-# A draw is decoded as the integer k only where expm1 puts it within this
-# relative distance of k; see back_transform for why that misses no k.
-_SNAP_TOLERANCE = 1e-9
-
 
 def back_transform(draws) -> CountSummary:
     """Summarise log-scale draws on the count scale via y* = exp(y) - 1.
@@ -291,13 +285,9 @@ def back_transform(draws) -> CountSummary:
     ``draws`` is read as in ``predict_summaries``: a (T, n) matrix of T
     retained draws for n entries, a 1-D vector as a single draw, or a list
     or tuple of chains pooled in order.  The inverse decodes exactly on
-    encoded integer counts: a draw that is bit-for-bit log(k + 1) for a
-    nonnegative integer k maps back to k with no rounding residue.  log1p
-    is evaluated only where expm1(y) lies within 1e-9 (1 + k) of the
-    nearest nonnegative integer k.  An exact encoding y = fl(log1p(k)) is
-    off by at most about log(k + 1) 2^-53 relative, so expm1(y) is within
-    about (1 + k)(log(k + 1) + 2) 2^-53 of k, which is under 1e-13 (1 + k)
-    for every finite count, and the filter changes no result.  Standard
+    encoded integer counts: a draw y is read as k = rint(expm1(y)) where
+    log1p(k) == y bit for bit, and as expm1(y) elsewhere, so an encoded
+    count maps back to k with no rounding residue.  Standard
     deviations use the n-1 denominator (a single draw gives 0), and CV =
     sd / mean is left undefined where the mean is 0.
     """
@@ -371,11 +361,8 @@ def _summarise_block(block: np.ndarray):
         raise DomainError("draws must be finite")
     counts = np.expm1(block)
     nearest = np.rint(counts)
-    with np.errstate(invalid="ignore"):  # inf - inf where expm1 overflows
-        near = (nearest >= 0) & (np.abs(counts - nearest) <= _SNAP_TOLERANCE * (1.0 + nearest))
-    snap = np.zeros_like(near)
-    snap[near] = np.log1p(nearest[near]) == block[near]
-    np.copyto(counts, nearest, where=snap)
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf, which matches no draw
+        np.copyto(counts, nearest, where=np.log1p(nearest) == block)
     return block.mean(axis=0), _sd(block), counts.mean(axis=0), _sd(counts)
 
 

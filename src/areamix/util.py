@@ -55,11 +55,7 @@ def format_value(value) -> str:
     """Render a cell for CSV output: shortest round-trip floats, blank for NaN, inf as inf."""
     if isinstance(value, (float, np.floating)):
         v = float(value)
-        if math.isnan(v):
-            return ""
-        if abs(v) < 1e16 and v == int(v):
-            return str(int(v)) + ".0"
-        return repr(v)
+        return "" if math.isnan(v) else repr(v + 0.0)  # + 0.0 writes -0.0 as 0.0
     return str(value)
 
 

@@ -267,7 +267,7 @@ def fit_collapsed(z, d, x, basis, config: MixtureConfig | None = None) -> Mixtur
 
     draws = DrawRecorder(config)
     for t in range(config.iterations):
-        base = BaseMeasure.from_basis(basis, p, config.sigma2_beta, sigma2_eta)
+        base = BaseMeasure(p, config.sigma2_beta, sigma2_eta, basis.k, basis.k_inv)
         weights, blocks = _cluster_blocks(stats, base, alpha)
         empty = blocks[-1:].copy()
 

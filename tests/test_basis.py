@@ -140,6 +140,11 @@ class TestSelectBasis:
         for j in range(psi.shape[1]):
             col = psi[:, j]
             assert col[np.argmax(np.abs(col))] > 0
+        assert psi.flags.c_contiguous  # the order the basis cache writes
+        # a tie in magnitude goes to the lowest index: the one positive
+        # eigenvector is (1, -1) / sqrt(2) up to sign
+        psi, _, _ = select_basis(np.array([[0.0, -1.0], [-1.0, 0.0]]), fraction=1.0)
+        assert psi[0, 0] > 0 > psi[1, 0]
 
     def test_fraction_and_r_both_given(self):
         with pytest.raises(DomainError):

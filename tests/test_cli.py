@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +60,14 @@ class TestReadConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             read_config("/nonexistent.cfg")
+
+    def test_readme_fit_config(self, tmp_path):
+        # the README's minimal fit config reads and passes the fit settings checks
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        model, cfg = cli._fit_settings(read_config(write_csv(tmp_path / "run.cfg", block)))
+        assert model.name == "msmm"
+        assert (cfg.iterations, cfg.burn_in, cfg.seed) == (10000, 5000, 5)
 
 
 class TestFitCommand:

@@ -704,6 +704,15 @@ class TestCrpLaw:
         assert np.all(lone == 0)
         crowded = crp_simulate(1e12, 40, rng)
         assert len(set(crowded.tolist())) == 40
+        assert np.array_equal(crp_simulate(math.inf, 6, rng), np.arange(6))
+
+    @pytest.mark.parametrize(
+        "alpha, n", [(0.0, 6), (-1.0, 6), (math.nan, 6), (1.0, 0)],
+        ids=["alpha 0", "alpha -1", "alpha nan", "n 0"],
+    )
+    def test_simulate_rejects_bad_arguments(self, alpha, n):
+        with pytest.raises(DomainError):
+            crp_simulate(alpha, n, np.random.default_rng(0))
 
     def test_simulated_moments_match_law(self):
         alpha, n = 1.3, 40

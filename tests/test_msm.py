@@ -232,7 +232,8 @@ class TestSharedAtomKernel:
         # F and g summed per area against the row sums of _ClusterStats, with
         # variances that differ within each area
         z, d, x, basis = random_area_inputs(np.random.default_rng(40 + cells), 7, cells)
-        f, g = msm._data_precision(msm._Rows(z, d, x, basis))
+        one = np.zeros(z.size, dtype=np.intp)
+        f, g = next(msm._component_sums(msm._Rows(z, d, x, basis), one, 1))
         rows = _ClusterStats(slice(None), z, d, np.hstack([x, entry_psi(basis)]))
         assert np.linalg.norm(f - rows.f) <= 1e-12 * np.linalg.norm(rows.f)
         assert np.linalg.norm(g - rows.g) <= 1e-12 * np.linalg.norm(rows.g)
@@ -260,13 +261,14 @@ class TestSharedAtomKernel:
             assert basis.cells == 3 and basis.r > 1
         z, d = study.truth.z, study.truth.d
         p = x.shape[1]
-        f, g = msm._data_precision(msm._Rows(z, d, x, basis))
-        mu, v, t = msm._diagonalise(f, g, BaseMeasure.from_basis(basis, p, 10.0, 1.0))
+        one = np.zeros(z.size, dtype=np.intp)
+        f, g = next(msm._component_sums(msm._Rows(z, d, x, basis), one, 1))
+        mu, v, t = msm._diagonalise(f, g, BaseMeasure(p, 10.0, 1.0, basis.k, basis.k_inv))
         assert np.all((mu >= 0.0) & (mu <= 1.0))
         u = np.hstack([x, entry_psi(basis)])
         for sigma2_eta in (1e-4, 1e-2, 1.0, 50.0, 1e4):
             s = msm._pencil_scales(mu, sigma2_eta)
-            base = BaseMeasure.from_basis(basis, p, 10.0, sigma2_eta)
+            base = BaseMeasure(p, 10.0, sigma2_eta, basis.k, basis.k_inv)
             want_mean, want_cov = cluster_posterior(np.arange(z.size), z, d, u, base)
             mean, cov = v @ (s * t), (v * s) @ v.T
             assert np.linalg.norm(mean - want_mean) <= 1e-10 * np.linalg.norm(want_mean)
@@ -294,7 +296,7 @@ class TestSharedAtomKernel:
         z, d = study.truth.z, study.truth.d
         fit = fit_msm(z, d, x, basis, cfg)
         p = x.shape[1]
-        base = BaseMeasure.from_basis(basis, p, 10.0, sigma2_eta)
+        base = BaseMeasure(p, 10.0, sigma2_eta, basis.k, basis.k_inv)
         u = np.hstack([x, entry_psi(basis)])
         want_mean, _ = cluster_posterior(np.arange(z.size), z, d, u, base)
         got_mean = np.concatenate([fit.beta.mean(axis=0), fit.eta.mean(axis=0)])

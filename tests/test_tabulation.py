@@ -439,11 +439,12 @@ def summary_vectors(s) -> list[np.ndarray]:
 
 
 def mixed_draws(rows: int, columns: int, seed: int = 0) -> np.ndarray:
-    """Draws mixing exact encodings log1p(k) for k in 0..1e15, their
-    nextafter neighbours, zeros, negatives and non-integers, column by
-    column and draw by draw."""
+    """Draws mixing exact encodings log1p(k) for k in 0..1e15 and at and
+    past 2^53, their nextafter neighbours, zeros, negatives and
+    non-integers, column by column and draw by draw."""
     rng = np.random.default_rng(seed)
-    ks = np.unique(np.concatenate([np.arange(100.0), np.rint(np.logspace(2, 15, 200))]))
+    past = [2.0**53, 2.0**53 + 2, 2.0**60]
+    ks = np.unique(np.concatenate([np.arange(100.0), np.rint(np.logspace(2, 15, 200)), past]))
     encoded = np.log1p(rng.choice(ks, size=(rows, columns)))
     kinds = rng.integers(0, 6, size=(rows, columns))
     kinds[:, 0] = 0  # an all-encoded column
@@ -461,8 +462,10 @@ def mixed_draws(rows: int, columns: int, seed: int = 0) -> np.ndarray:
     )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestBlockedSummaries:
-    """predict_summaries against the whole-array formulas, bit for bit."""
+    """predict_summaries against the whole-array formulas, bit for bit,
+    with no floating-point warning."""
 
     @pytest.fixture(params=[None, 1, 13], ids=["default blocks", "1 column", "13 columns"])
     def block_columns(self, request, monkeypatch):

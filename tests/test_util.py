@@ -48,6 +48,10 @@ class TestFormatValue:
     def test_integral_floats(self):
         assert format_value(325.0) == "325.0"
         assert format_value(0.0) == "0.0"
+        assert format_value(-0.0) == "0.0"
+        assert format_value(1e15) == "1000000000000000.0"
+        assert format_value(9999999999999998.0) == "9999999999999998.0"
+        assert format_value(1e16) == "1e+16"
 
     def test_nan_is_blank(self):
         assert format_value(float("nan")) == ""
