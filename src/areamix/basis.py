@@ -44,8 +44,8 @@ class MoranBasis:
         never formed, repeats each L times, area-major.  Its columns are
         orthonormal, each orthogonal to the design
     eigenvalues : the r selected (positive) eigenvalues, descending
-    k_inv : (r, r) prior precision Psi' Q Psi
-    k : its inverse, the prior covariance up to the scale parameter
+    k_inv : (r, r) prior precision Psi' Q Psi, the inverse of the
+        prior covariance K up to the scale parameter (K is never formed)
     n_positive : how many positive eigenvalues the operator had in total
     tolerance : relative threshold used to call an eigenvalue positive
     cells : entries per area L (1 for an entry-level basis)
@@ -57,7 +57,6 @@ class MoranBasis:
     area_psi: np.ndarray
     eigenvalues: np.ndarray
     k_inv: np.ndarray
-    k: np.ndarray
     n_positive: int
     tolerance: float
     cells: int = 1
@@ -67,7 +66,7 @@ class MoranBasis:
         if len(shape) != 2 or min(shape) < 1:
             raise ShapeError(f"basis area rows must be (m, r) with m, r >= 1, got {shape}")
         r = shape[1]
-        for name, want in (("eigenvalues", (r,)), ("k", (r, r)), ("k_inv", (r, r))):
+        for name, want in (("eigenvalues", (r,)), ("k_inv", (r, r))):
             got = np.shape(getattr(self, name))
             if got != want:
                 raise ShapeError(f"basis {name} must be {want}, got {got}")
@@ -187,36 +186,32 @@ def select_basis(
     return psi, w[order], n_positive
 
 
-def basis_precision(psi: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def basis_precision(psi: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Restrict the graph precision to the basis: k_inv = Psi' Q Psi.
 
-    Returns (k_inv, k).  k_inv must be symmetric positive definite,
-    which holds whenever the design contains an intercept; a Cholesky
-    failure is reported as a definiteness error (typical causes: no
-    intercept column, or a disconnected graph whose component indicators
-    leak into the basis).
+    Returns k_inv, symmetrised.  It must be positive definite, which
+    holds whenever the design contains an intercept; a Cholesky failure
+    is reported as a definiteness error (typical causes: no intercept
+    column, or a disconnected graph whose component indicators leak into
+    the basis).
     """
     psi = np.asarray(psi, dtype=float)
     q = np.asarray(q, dtype=float)
     if psi.ndim != 2:
         raise ShapeError("psi must be 2-D")
-    n, r = psi.shape
+    n = psi.shape[0]
     if q.shape != (n, n):
         raise ShapeError(f"precision is {q.shape}, basis has {n} rows")
     k_inv = psi.T @ q @ psi
     k_inv = (k_inv + k_inv.T) / 2.0
     try:
-        chol = np.linalg.cholesky(k_inv)
+        np.linalg.cholesky(k_inv)
     except np.linalg.LinAlgError:
         raise DefinitenessError(
             "basis precision Psi' Q Psi is not positive definite; "
             "check that the design has an intercept and the graph is connected"
         ) from None
-    ident = np.eye(r)
-    half = np.linalg.solve(chol, ident)
-    k = half.T @ half
-    k = (k + k.T) / 2.0
-    return k_inv, k
+    return k_inv
 
 
 def build_basis(
@@ -231,16 +226,15 @@ def build_basis(
     V (x) 1_L / sqrt(L) with eigenvalues L lam, and the prior precision
     Psi' Q Psi of Q = icar_precision(W (x) J_L) is L V' (D_W - W) V.  The
     basis keeps the area rows V / sqrt(L), so no array with n rows is
-    formed for L > 1.
+    formed for L > 1, and the prior as that precision alone.
     """
     v, eigenvalues, n_positive = select_basis(moran_operator(x, a), fraction=fraction, r=r)
-    k_inv, k = basis_precision(v, icar_precision(a))
+    k_inv = basis_precision(v, icar_precision(a))
     cells = np.shape(x)[0] // np.shape(a)[0]
     return MoranBasis(
         area_psi=v / math.sqrt(cells),
         eigenvalues=cells * eigenvalues,
         k_inv=cells * k_inv,
-        k=k / cells,
         n_positive=n_positive,
         tolerance=EIGENVALUE_TOLERANCE,
         cells=cells,
@@ -266,9 +260,9 @@ def cache_path(directory: str | Path, key: str) -> Path:
 def save_basis(basis: MoranBasis, directory: str | Path, key: str) -> Path:
     """Persist a basis keyed by the content hash of its inputs.
 
-    The file keeps the basis's area rows and L.  It is written beside its
-    final name and moved into place, so an interrupted save never leaves
-    a partial entry under that name.
+    The file keeps the basis's area rows, L and k_inv.  It is written beside
+    its final name and moved into place, so an interrupted save never
+    leaves a partial entry under that name.
     """
     path = cache_path(directory, key)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -281,7 +275,6 @@ def save_basis(basis: MoranBasis, directory: str | Path, key: str) -> Path:
                 cells=np.array(basis.cells),
                 eigenvalues=basis.eigenvalues,
                 k_inv=basis.k_inv,
-                k=basis.k,
                 meta=np.array([float(basis.n_positive), basis.tolerance]),
             )
         os.replace(partial, path)
@@ -293,7 +286,7 @@ def save_basis(basis: MoranBasis, directory: str | Path, key: str) -> Path:
 def load_basis(directory: str | Path, key: str) -> MoranBasis | None:
     """Load a cached basis as its area rows, or None when the key is absent
     or its file unreadable, in an older format (one without ``area_psi``)
-    or holding arrays whose shapes disagree."""
+    or holding arrays whose shapes disagree; a ``k`` (older entries hold K) is not read."""
     path = cache_path(directory, key)
     if not path.exists():
         return None
@@ -304,7 +297,6 @@ def load_basis(directory: str | Path, key: str) -> MoranBasis | None:
                 area_psi=data["area_psi"],
                 eigenvalues=data["eigenvalues"],
                 k_inv=data["k_inv"],
-                k=data["k"],
                 n_positive=int(meta[0]),
                 tolerance=float(meta[1]),
                 cells=int(data["cells"]),

@@ -152,7 +152,7 @@ class MixturePosterior:
         return self.y.shape[0]
 
 
-def _draw_atoms(rng, stats, base: BaseMeasure, chol_k, config: MixtureConfig, t: int):
+def _draw_atoms(rng, stats, base: BaseMeasure, chol_k_inv, config: MixtureConfig, t: int):
     """Every component's atom and sigma2_eta, in the partially collapsed order.
 
     ``stats`` yields each component's (F, g) (``_component_sums``) in
@@ -160,11 +160,11 @@ def _draw_atoms(rng, stats, base: BaseMeasure, chol_k, config: MixtureConfig, t:
     come from their cluster posteriors under ``base``; then sigma2_eta from
     InverseGamma(a_eta + k r / 2, b_eta + sum_c eta_c' K^{-1} eta_c / 2)
     over the k occupied atoms; then the empty atoms from the base measure
-    at that new sigma2_eta (``chol_k`` is the Cholesky factor of K).  The
-    empty atoms do not enter the sigma2_eta step, so they must follow it
-    (van Dyk and Park 2008).  Returns (atoms (M, q), k, sigma2_eta).
-    Raises DefinitenessError when an atom posterior precision has no
-    finite Cholesky factor.
+    at that new sigma2_eta, given the Cholesky factor ``chol_k_inv`` of
+    K^{-1}.  The empty atoms do not enter the sigma2_eta step, so they
+    must follow it (van Dyk and Park 2008).  Returns (atoms (M, q), k,
+    sigma2_eta); DefinitenessError when an atom posterior precision has
+    no finite Cholesky factor.
     """
     prec0 = base.prior_precision()
     atoms, empty = [], []
@@ -186,7 +186,7 @@ def _draw_atoms(rng, stats, base: BaseMeasure, chol_k, config: MixtureConfig, t:
     sigma2_eta = draw_inverse_gamma(rng, shape, scale)
     fresh = base.at(sigma2_eta)
     for m in empty:
-        atoms[m] = fresh.draw(rng, chol_k)
+        atoms[m] = fresh.draw(rng, chol_k_inv)
     theta = np.array(atoms)
     if not np.all(np.isfinite(theta)):
         raise DivergenceError("non-finite atom draw", iteration=t)
@@ -194,11 +194,11 @@ def _draw_atoms(rng, stats, base: BaseMeasure, chol_k, config: MixtureConfig, t:
 
 
 def _prepare(z, d, x, basis: MoranBasis, config: MixtureConfig | None):
-    """Checked settings and whitened rows of a fit: (config, ``_Rows``, chol K).
-    Raises DefinitenessError when K has no Cholesky factor."""
+    """(config, ``_Rows``, chol K^{-1}) of a fit: the factor of the basis precision
+    feeds every prior draw.  DefinitenessError when K^{-1} has no finite one."""
     config = config or MixtureConfig()
     config.validate()
-    return config, _Rows(z, d, x, basis), _cholesky(basis.k, "basis covariance K")
+    return config, _Rows(z, d, x, basis), _cholesky(basis.k_inv, "basis precision K^{-1}")
 
 
 def _area_means(rows: _Rows, theta: np.ndarray) -> np.ndarray:
@@ -328,12 +328,12 @@ def fit_msmm_dp(
     (3), atoms from the cluster posteriors, alpha = 1, sigma2_eta = 1.
     ``truncation_m`` is not read.
     """
-    config, rows, chol_k = _prepare(z, d, x, basis, config)
+    config, rows, chol_k_inv = _prepare(z, d, x, basis, config)
     p = rows.p
     rng = np.random.default_rng(config.seed)
 
     alpha = config.alpha_fixed if config.alpha_fixed is not None else 1.0
-    base = BaseMeasure(p, config.sigma2_beta, 1.0, basis.k, basis.k_inv)
+    base = BaseMeasure(p, config.sigma2_beta, 1.0, basis.k_inv)
     c = crp_simulate(alpha, rows.n, rng)
     sticks = _draw_sticks(rng, np.bincount(c, minlength=c.max() + 2), alpha)
     prec0 = base.prior_precision()
@@ -353,7 +353,7 @@ def fit_msmm_dp(
             added = _beta_logs(rng, [1.0], alpha)
             rest *= math.exp(added[1, 0])
             sticks = np.concatenate([sticks, added], axis=1)
-            theta = np.vstack([theta, base.draw(rng, chol_k)])
+            theta = np.vstack([theta, base.draw(rng, chol_k_inv)])
         pi = np.exp(_log_weights(sticks))
 
         admitted = np.where(pi[None, :-1] > s[:, None], 0.0, -np.inf)
@@ -361,7 +361,7 @@ def fit_msmm_dp(
         sticks = _draw_sticks(rng, np.bincount(c, minlength=c.max() + 2), alpha)
         c, sticks = _switch_labels(rng, c, sticks, alpha)
         stats = _component_sums(rows, c, sticks.shape[1])
-        theta, k_occ, sigma2_eta = _draw_atoms(rng, stats, base, chol_k, config, t)
+        theta, k_occ, sigma2_eta = _draw_atoms(rng, stats, base, chol_k_inv, config, t)
         base = base.at(sigma2_eta)
         alpha = _draw_alpha(rng, sticks, alpha, config)
         _record(draws, t, rows, theta, c, alpha, sigma2_eta, k_occ)
@@ -381,13 +381,13 @@ def fit_msmm_truncated(
     from the base measure at that sigma2_eta; alpha ~ Gamma(a_alpha +
     M - 1, b_alpha - sum_{m<M} log(1 - V_m)).
     """
-    config, rows, chol_k = _prepare(z, d, x, basis, config)
+    config, rows, chol_k_inv = _prepare(z, d, x, basis, config)
     p, m_comp = rows.p, config.truncation_m
     rng = np.random.default_rng(config.seed)
 
     theta = np.zeros((m_comp, p + basis.r))
     alpha = config.alpha_fixed if config.alpha_fixed is not None else 1.0
-    base = BaseMeasure(p, config.sigma2_beta, 1.0, basis.k, basis.k_inv)
+    base = BaseMeasure(p, config.sigma2_beta, 1.0, basis.k_inv)
     sticks = _beta_logs(rng, np.ones(m_comp - 1), alpha)
 
     draws = DrawRecorder(config)
@@ -396,7 +396,7 @@ def fit_msmm_truncated(
         sticks = _draw_sticks(rng, np.bincount(c, minlength=m_comp), alpha)
 
         stats = _component_sums(rows, c, m_comp)
-        theta, k_occ, sigma2_eta = _draw_atoms(rng, stats, base, chol_k, config, t)
+        theta, k_occ, sigma2_eta = _draw_atoms(rng, stats, base, chol_k_inv, config, t)
         base = base.at(sigma2_eta)
         alpha = _draw_alpha(rng, sticks, alpha, config)
         _record(draws, t, rows, theta, c, alpha, sigma2_eta, k_occ)

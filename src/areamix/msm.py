@@ -23,7 +23,7 @@ coefficient posterior in these parts:
   per fit (``_diagonalise``) and draws theta and sigma2_eta in O(p + r)
   a sweep.
 * ``_gaussian_draw`` draws from N(P^{-1} g, P^{-1}) given the Cholesky
-  factor of P (``_cholesky``): each mixture atom, and fh's beta.
+  factor of P (``_cholesky``): mixture atoms, prior etas and fh's beta.
 
 ``ChainConfig`` and ``DrawRecorder`` are the chain settings and draw
 storage that every sampler shares.
@@ -170,19 +170,18 @@ class BaseMeasure:
     """The prior N(0, Sigma0) of theta = (beta, eta) given sigma2_eta, and
     the mixture's base measure G0.
 
-    Sigma0 = blockdiag(sigma2_beta I_p, sigma2_eta K); ``k`` is the SPD
-    spatial covariance kernel K and ``k_inv`` its inverse.
+    Sigma0 = blockdiag(sigma2_beta I_p, sigma2_eta K), held through the
+    spatial precision ``k_inv`` = K^{-1} alone.
     """
 
     p: int
     sigma2_beta: float
     sigma2_eta: float
-    k: np.ndarray
     k_inv: np.ndarray
 
     @property
     def r(self) -> int:
-        return self.k.shape[0]
+        return self.k_inv.shape[0]
 
     @property
     def dim(self) -> int:
@@ -190,7 +189,7 @@ class BaseMeasure:
 
     def at(self, sigma2_eta: float) -> "BaseMeasure":
         """This measure at another sigma2_eta."""
-        return BaseMeasure(self.p, self.sigma2_beta, sigma2_eta, self.k, self.k_inv)
+        return BaseMeasure(self.p, self.sigma2_beta, sigma2_eta, self.k_inv)
 
     def prior_precision(self) -> np.ndarray:
         q, p = self.dim, self.p
@@ -199,11 +198,12 @@ class BaseMeasure:
         np.divide(self.k_inv, self.sigma2_eta, out=prec[p:, p:])
         return prec
 
-    def draw(self, rng: np.random.Generator, chol_k: np.ndarray) -> np.ndarray:
-        """One draw from N(0, Sigma0); ``chol_k`` is the Cholesky factor of K."""
+    def draw(self, rng: np.random.Generator, chol_k_inv: np.ndarray) -> np.ndarray:
+        """One draw from N(0, Sigma0): eta is sqrt(sigma2_eta) times the
+        ``_gaussian_draw`` of N(0, K) from the factor ``chol_k_inv`` of K^{-1}."""
         head = math.sqrt(self.sigma2_beta) * rng.standard_normal(self.p)
-        tail = math.sqrt(self.sigma2_eta) * (chol_k @ rng.standard_normal(self.r))
-        return np.concatenate([head, tail])
+        eta = _gaussian_draw(rng, chol_k_inv, np.zeros(self.r))
+        return np.concatenate([head, math.sqrt(self.sigma2_eta) * eta])
 
 
 def _inverse_gamma_conditional(a, b, dof, quad: float, iteration=None) -> tuple[float, float]:
@@ -397,7 +397,7 @@ def fit_msm(z, d, x, basis: MoranBasis, config: MsmConfig | None = None) -> Post
     p, r = rows.p, basis.r
 
     rng = np.random.default_rng(config.seed)
-    base = BaseMeasure(p, config.sigma2_beta, 1.0, basis.k, basis.k_inv)
+    base = BaseMeasure(p, config.sigma2_beta, 1.0, basis.k_inv)
     f, g = next(_component_sums(rows, np.zeros(rows.n, dtype=np.intp), 1))
     mu, v, t = _diagonalise(f, g, base)
     fixed = config.sigma2_eta_fixed

@@ -356,14 +356,21 @@ def _column_blocks(n: int, draws: int) -> list[tuple[int, int]]:
 
 
 def _summarise_block(block: np.ndarray):
-    """Log mean and sd, then count mean and sd, of each column of a block."""
+    """Log mean and sd, then count mean and sd, of each column; DomainError on overflow."""
     if not np.all(np.isfinite(block)):
         raise DomainError("draws must be finite")
-    counts = np.expm1(block)
-    nearest = np.rint(counts)
-    with np.errstate(divide="ignore"):  # log1p(-1) = -inf, which matches no draw
+    # log1p(-1) = -inf matches no draw; an overflow is reported below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        counts = np.expm1(block)
+        nearest = np.rint(counts)
         np.copyto(counts, nearest, where=np.log1p(nearest) == block)
-    return block.mean(axis=0), _sd(block), counts.mean(axis=0), _sd(counts)
+        mean, sd = counts.mean(axis=0), _sd(counts)
+    if not (math.isfinite(mean.max()) and math.isfinite(sd.max())):  # max keeps a NaN
+        raise DomainError(
+            f"count summaries overflow: a draw of {block.max():.6g} is at or near "
+            f"log(max float) = {math.log(np.finfo(float).max):.2f}"
+        )
+    return block.mean(axis=0), _sd(block), mean, sd
 
 
 def _sd(block: np.ndarray) -> np.ndarray:

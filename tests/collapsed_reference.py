@@ -46,7 +46,7 @@ def prior_covariance(base: BaseMeasure) -> np.ndarray:
     """Sigma0 = blockdiag(sigma2_beta I_p, sigma2_eta K) of ``base``."""
     cov = np.zeros((base.dim, base.dim))
     cov[: base.p, : base.p] = np.eye(base.p) * base.sigma2_beta
-    cov[base.p :, base.p :] = base.k * base.sigma2_eta
+    cov[base.p :, base.p :] = np.linalg.inv(base.k_inv) * base.sigma2_eta
     return cov
 
 
@@ -267,7 +267,7 @@ def fit_collapsed(z, d, x, basis, config: MixtureConfig | None = None) -> Mixtur
 
     draws = DrawRecorder(config)
     for t in range(config.iterations):
-        base = BaseMeasure(p, config.sigma2_beta, sigma2_eta, basis.k, basis.k_inv)
+        base = BaseMeasure(p, config.sigma2_beta, sigma2_eta, basis.k_inv)
         weights, blocks = _cluster_blocks(stats, base, alpha)
         empty = blocks[-1:].copy()
 

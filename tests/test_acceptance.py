@@ -119,7 +119,7 @@ def test_01_msm_conjugacy():
 
     prior_cov = np.zeros((4, 4))
     prior_cov[:2, :2] = sigma2_beta * np.eye(2)
-    prior_cov[2:, 2:] = sigma2_eta * basis.k
+    prior_cov[2:, 2:] = sigma2_eta * np.linalg.inv(basis.k_inv)
     mean_exact, cov_exact = joint_gaussian_condition(prior_cov, np.hstack([x, entry_psi(basis)]), d, z)
 
     worst = _three_mcse_gap(theta, mean_exact, cov_exact)
@@ -276,7 +276,7 @@ def test_05_assignment_probability_oracle():
             else:
                 k = np.zeros((0, 0))
                 k_inv = np.zeros((0, 0))
-            base = BaseMeasure(p=p, sigma2_beta=2.0, sigma2_eta=0.9, k=k, k_inv=k_inv)
+            base = BaseMeasure(p=p, sigma2_beta=2.0, sigma2_eta=0.9, k_inv=k_inv)
             held_out = n - 1
             for parts in _set_partitions(n - 1):
                 assign = np.full(n, -1, dtype=int)

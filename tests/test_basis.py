@@ -180,10 +180,12 @@ class TestSelectBasis:
 
 
 class TestBasisPrecision:
-    def test_inverse_pair(self, small_inputs):
-        _, _, _, basis = small_inputs
-        r = basis.r
-        assert np.allclose(basis.k_inv @ basis.k, np.eye(r), atol=1e-10)
+    def test_symmetric_positive_definite(self, small_inputs):
+        _, _, a, basis = small_inputs
+        psi = entry_psi(basis)
+        want = psi.T @ icar_precision(a) @ psi
+        assert np.array_equal(basis.k_inv, basis.k_inv.T)
+        assert np.allclose(basis.k_inv, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
         assert np.all(np.linalg.eigvalsh(basis.k_inv) > 0)
 
     def test_constant_column_fails(self):
@@ -209,12 +211,11 @@ class TestMoranBasisChecks:
             ("area_psi", lambda r: np.zeros(r), ShapeError),
             ("area_psi", lambda r: np.zeros((4, 0)), ShapeError),
             ("eigenvalues", lambda r: np.ones(r + 1), ShapeError),
-            ("k", lambda r: np.eye(r + 1), ShapeError),
             ("k_inv", lambda r: np.eye(r)[:, :-1], ShapeError),
             ("cells", lambda r: 0, DomainError),
             ("cells", lambda r: 2.0, DomainError),
         ],
-        ids=["area_psi_1d", "area_psi_empty", "eigenvalues", "k", "k_inv", "cells_0", "cells_float"],
+        ids=["area_psi_1d", "area_psi_empty", "eigenvalues", "k_inv", "cells_0", "cells_float"],
     )
     def test_disagreeing_fields_are_rejected(self, small_inputs, field, value, error):
         basis = small_inputs[3]
@@ -292,9 +293,9 @@ class TestAreaLevelBasis:
                 assert np.allclose(
                     area_psi @ area_psi.T, dense_psi @ dense_psi.T, rtol=0.0, atol=1e-8
                 )
-                smooth = dense_psi @ dense.k @ dense_psi.T
+                smooth = dense_psi @ np.linalg.inv(dense.k_inv) @ dense_psi.T
                 assert np.allclose(
-                    area_psi @ area.k @ area_psi.T,
+                    area_psi @ np.linalg.inv(area.k_inv) @ area_psi.T,
                     smooth,
                     rtol=0.0,
                     atol=1e-8 * np.max(np.abs(smooth)),
@@ -375,7 +376,6 @@ class TestCache:
         assert loaded is not None
         assert np.array_equal(entry_psi(loaded), entry_psi(basis))
         assert np.array_equal(loaded.k_inv, basis.k_inv)
-        assert np.array_equal(loaded.k, basis.k)
         assert np.array_equal(loaded.eigenvalues, basis.eigenvalues)
         assert loaded.n_positive == basis.n_positive
         assert loaded.tolerance == basis.tolerance
@@ -391,12 +391,11 @@ class TestCache:
         path = save_basis(basis, tmp_path, "a" * 64)
         with np.load(path) as data:
             assert data["area_psi"].shape == (10, basis.r)
-            assert "psi" not in data
+            assert "psi" not in data and "k" not in data
         loaded = load_basis(tmp_path, "a" * 64)
         assert loaded.cells == n_cells
         assert np.array_equal(entry_psi(loaded), entry_psi(basis))
         assert np.array_equal(loaded.k_inv, basis.k_inv)
-        assert np.array_equal(loaded.k, basis.k)
         assert np.array_equal(loaded.eigenvalues, basis.eigenvalues)
 
     def test_old_format_entry_is_a_miss(self, small_inputs, tmp_path):
@@ -406,7 +405,7 @@ class TestCache:
         with open(cache_path(tmp_path, key), "wb") as fh:
             np.savez(
                 fh, psi=entry_psi(basis), eigenvalues=basis.eigenvalues, k_inv=basis.k_inv,
-                k=basis.k, meta=np.array([float(basis.n_positive), basis.tolerance]),
+                k=np.linalg.inv(basis.k_inv), meta=np.array([float(basis.n_positive), basis.tolerance]),
             )
         assert load_basis(tmp_path, key) is None
 

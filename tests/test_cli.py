@@ -8,7 +8,7 @@ import pytest
 from areamix import ConfigError, basis, cli, errors, spatial
 from areamix.cli import main, read_config
 
-from conftest import write_csv
+from conftest import DATA_DIR, write_csv
 
 
 def fit_config(fixture10, tmp_path, **extra):
@@ -268,16 +268,38 @@ class TestBasisCache:
 
         self.check_damaged_entry_is_rebuilt(fixture10, tmp_path, truncate)
 
-    def test_entry_with_wrong_size_k_is_rebuilt(self, fixture10, tmp_path):
-        # a readable entry whose k disagrees with its area rows
-        def grow_k(entry):
+    def test_entry_with_wrong_size_k_inv_is_rebuilt(self, fixture10, tmp_path):
+        # a readable entry whose k_inv disagrees with its area rows
+        def grow_k_inv(entry):
             with np.load(entry) as data:
                 arrays = dict(data)
-            arrays["k"] = np.eye(arrays["k"].shape[0] + 1)
+            arrays["k_inv"] = np.eye(arrays["k_inv"].shape[0] + 1)
             with open(entry, "wb") as fh:
                 np.savez(fh, **arrays)
 
-        self.check_damaged_entry_is_rebuilt(fixture10, tmp_path, grow_k)
+        self.check_damaged_entry_is_rebuilt(fixture10, tmp_path, grow_k_inv)
+
+    def test_entry_holding_k_loads(self, tmp_path):
+        # entries once also held the covariance k = inv(k_inv); one loads as
+        # it is, and a mixture fit from it writes the bytes of a fresh entry's
+        cache = tmp_path / "cache"
+        cfg = fit_config(
+            DATA_DIR / "fixture_grid", tmp_path, basis_cache=str(cache), iterations=60,
+            burn_in=20,
+        )
+        assert main(["fit", str(cfg), "--out", str(tmp_path / "fresh")]) == 0
+        (entry,) = cache.iterdir()
+        with np.load(entry) as data:
+            arrays = dict(data)
+        assert "k" not in arrays and arrays["k_inv"].shape[0] > 1
+        with open(entry, "wb") as fh:
+            np.savez(fh, **arrays, k=np.linalg.inv(arrays["k_inv"]))
+        with_k = entry.read_bytes()
+        assert main(["fit", str(cfg), "--out", str(tmp_path / "old")]) == 0
+        assert entry.read_bytes() == with_k  # loaded, not rebuilt
+        for name in ("predictions.csv", "draws.csv", "diagnostics.json"):
+            old = (tmp_path / "old" / name).read_bytes()
+            assert old == (tmp_path / "fresh" / name).read_bytes(), name
 
 
 class TestSimulateCommand:

@@ -54,9 +54,7 @@ def base_measure():
     r = 2
     m = rng.normal(size=(r, r))
     k = m @ m.T + np.eye(r)
-    return BaseMeasure(
-        p=2, sigma2_beta=4.0, sigma2_eta=0.8, k=k, k_inv=np.linalg.inv(k)
-    )
+    return BaseMeasure(p=2, sigma2_beta=4.0, sigma2_eta=0.8, k_inv=np.linalg.inv(k))
 
 
 @pytest.fixture(scope="module")
@@ -75,21 +73,26 @@ class TestBaseMeasure:
         prec = base_measure.prior_precision()
         p = base_measure.p
         assert np.allclose(cov[:p, :p], 4.0 * np.eye(p))
-        assert np.allclose(cov[p:, p:], 0.8 * base_measure.k)
+        assert np.allclose(cov[p:, p:] @ base_measure.k_inv, 0.8 * np.eye(base_measure.r))
         assert np.allclose(cov[:p, p:], 0.0)
         assert np.allclose(cov @ prec, np.eye(base_measure.dim), atol=1e-10)
 
-    def test_draw_covariance(self, base_measure):
+    def test_draw_covariance(self):
+        # cov = blockdiag(sigma2_beta I, sigma2_eta K) from the factor of K^{-1}
         rng = np.random.default_rng(33)
-        chol_k = np.linalg.cholesky(base_measure.k)
-        draws = np.array([base_measure.draw(rng, chol_k) for _ in range(40000)])
+        m = rng.normal(size=(3, 3))
+        k = m @ m.T + np.eye(3)
+        base = BaseMeasure(p=2, sigma2_beta=4.0, sigma2_eta=0.8, k_inv=np.linalg.inv(k))
+        chol_k_inv = np.linalg.cholesky(base.k_inv)
+        draws = np.array([base.draw(rng, chol_k_inv) for _ in range(40000)])
         emp = np.cov(draws.T)
-        assert np.allclose(emp, prior_covariance(base_measure), atol=0.12)
+        assert np.allclose(emp[2:, 2:], 0.8 * k, atol=0.12)
+        assert np.allclose(emp, prior_covariance(base), atol=0.12)
 
     def test_draw_deterministic(self, base_measure):
-        chol_k = np.linalg.cholesky(base_measure.k)
-        a = base_measure.draw(np.random.default_rng(9), chol_k)
-        b = base_measure.draw(np.random.default_rng(9), chol_k)
+        chol_k_inv = np.linalg.cholesky(base_measure.k_inv)
+        a = base_measure.draw(np.random.default_rng(9), chol_k_inv)
+        b = base_measure.draw(np.random.default_rng(9), chol_k_inv)
         assert np.array_equal(a, b)
 
 
@@ -246,7 +249,8 @@ def cholesky_assignment_logw(u_i, z_i, d_i, clusters, base, log_alpha):
     """
     prec0 = base.prior_precision()
     x_i, psi_i = u_i[: base.p], u_i[base.p :]
-    new_var = base.sigma2_beta * x_i @ x_i + base.sigma2_eta * psi_i @ base.k @ psi_i + d_i
+    k_psi_i = np.linalg.solve(base.k_inv, psi_i)
+    new_var = base.sigma2_beta * x_i @ x_i + base.sigma2_eta * psi_i @ k_psi_i + d_i
     logw = np.empty(len(clusters) + 1)
     for pos, (count, f, g) in enumerate(clusters):
         chol = np.linalg.cholesky(prec0 + f)
@@ -274,7 +278,7 @@ def random_base(rng, p, r, sigma2_beta=100.0):
     k = half @ half.T + r * np.eye(r)
     return BaseMeasure(
         p=p, sigma2_beta=sigma2_beta, sigma2_eta=float(rng.uniform(0.3, 2.0)),
-        k=k, k_inv=np.linalg.inv(k),
+        k_inv=np.linalg.inv(k),
     )
 
 
@@ -438,15 +442,14 @@ class TestAtomDraw:
             assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
 
     @pytest.mark.parametrize("fit", [fit_msmm_truncated, fit_msmm_dp], ids=["truncated", "dp"])
-    @pytest.mark.parametrize("k_scale", [-0.01, 1.0], ids=["kernel", "precision"])
-    def test_indefinite_prior_is_a_definiteness_error(self, small_inputs, fit, k_scale):
-        # K^{-1} = -100 I: with K = -I/100 the Cholesky factor of K fails at
-        # set-up; with K = I, that of the first atom posterior precision
+    @pytest.mark.parametrize("diagonal", [-100.0, np.inf], ids=["indefinite", "infinite"])
+    def test_indefinite_prior_is_a_definiteness_error(self, small_inputs, fit, diagonal):
+        # K^{-1} = -100 I has no Cholesky factor, and K^{-1} = inf I no finite
+        # one: the fit fails at set-up, where it factors K^{-1}
         study, x, _, basis = small_inputs
-        r = basis.r
-        broken = replace(basis, k_inv=-100.0 * np.eye(r), k=k_scale * np.eye(r))
+        broken = replace(basis, k_inv=np.diag(np.full(basis.r, diagonal)))
         cfg = MixtureConfig(iterations=5, burn_in=1)
-        with pytest.raises(DefinitenessError) as caught:
+        with pytest.raises(DefinitenessError, match=r"basis precision K\^\{-1\}") as caught:
             fit(study.truth.z, study.truth.d, x, broken, cfg)
         assert caught.value.exit_code == 4
 
@@ -483,7 +486,7 @@ def run_assign(seed, z, d, u, theta, log_prior, cells=1):
     area_psi = spread(u[:, 1:]) if cells == 1 else u[:, 1:]
     r = area_psi.shape[1]
     basis = MoranBasis(
-        area_psi=area_psi, eigenvalues=np.ones(r), k_inv=np.eye(r), k=np.eye(r),
+        area_psi=area_psi, eigenvalues=np.ones(r), k_inv=np.eye(r),
         n_positive=r, tolerance=1e-10, cells=cells,
     )
     rows = mixture._Rows(spread(z, cells), spread(d, cells), spread(u[:, :1], cells), basis)
@@ -555,9 +558,9 @@ class TestAssign:
             events.append("assign")
             return real_assign(*args)
 
-        def atoms_spy(rng, stats, base, chol_k, config, t):
+        def atoms_spy(rng, stats, base, chol_k_inv, config, t):
             events.append(t)
-            return real_atoms(rng, stats, base, chol_k, config, t)
+            return real_atoms(rng, stats, base, chol_k_inv, config, t)
 
         monkeypatch.setattr(mixture, "_assign", assign_spy)
         monkeypatch.setattr(mixture, "_draw_atoms", atoms_spy)
@@ -570,8 +573,8 @@ class TestAssign:
 )
 def test_wrong_size_kernel_is_a_shape_error(small_inputs, fit):
     study, x, _, basis = small_inputs
-    with pytest.raises(ShapeError, match="basis k must be"):
-        fit(study.truth.z, study.truth.d, x, replace(basis, k=np.eye(basis.r + 1)))
+    with pytest.raises(ShapeError, match="basis k_inv must be"):
+        fit(study.truth.z, study.truth.d, x, replace(basis, k_inv=np.eye(basis.r + 1)))
 
 
 @pytest.mark.parametrize("cells", [1, 3])
@@ -779,7 +782,7 @@ def blank_inputs(small_inputs):
     study = small_inputs[0]
     n = study.truth.n_rows
     basis = MoranBasis(
-        area_psi=np.zeros((n, 1)), eigenvalues=np.ones(1), k_inv=np.eye(1), k=np.eye(1),
+        area_psi=np.zeros((n, 1)), eigenvalues=np.ones(1), k_inv=np.eye(1),
         n_positive=1, tolerance=1e-10,
     )
     return study.truth.z, study.truth.d, np.zeros((n, 1)), basis
@@ -922,17 +925,17 @@ class TestEmptyAtoms:
         sweep, used = [None], []
         draw_atoms, base_draw = mixture._draw_atoms, BaseMeasure.draw
 
-        def atoms_spy(rng, stats, base, chol_k, config, t):
+        def atoms_spy(rng, stats, base, chol_k_inv, config, t):
             sweep[0] = t
             try:
-                return draw_atoms(rng, stats, base, chol_k, config, t)
+                return draw_atoms(rng, stats, base, chol_k_inv, config, t)
             finally:
                 sweep[0] = None
 
-        def draw_spy(self, rng, chol_k=None):
+        def draw_spy(self, rng, chol_k_inv):
             if sweep[0] is not None:
                 used.append((sweep[0], self.sigma2_eta))
-            return base_draw(self, rng, chol_k)
+            return base_draw(self, rng, chol_k_inv)
 
         monkeypatch.setattr(mixture, "_draw_atoms", atoms_spy)
         monkeypatch.setattr(BaseMeasure, "draw", draw_spy)

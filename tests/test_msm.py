@@ -55,7 +55,7 @@ def random_area_inputs(rng, m, cells, p=3, r=4):
     area, _ = np.linalg.qr(rng.normal(size=(m, r)))
     basis = MoranBasis(
         area_psi=area / np.sqrt(cells), eigenvalues=np.ones(r),
-        k_inv=np.eye(r), k=np.eye(r), n_positive=r, tolerance=1e-10, cells=cells,
+        k_inv=np.eye(r), n_positive=r, tolerance=1e-10, cells=cells,
     )
     x = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
     return rng.normal(size=n), rng.uniform(0.05, 2.0, size=n), x, basis
@@ -215,7 +215,7 @@ class TestFitMsm:
         design = np.hstack([x, entry_psi(basis)])
         prior = np.zeros((design.shape[1], design.shape[1]))
         prior[:p, :p] = 10.0 * np.eye(p)
-        prior[p:, p:] = sigma2_eta * basis.k
+        prior[p:, p:] = sigma2_eta * np.linalg.inv(basis.k_inv)
         want_mean, _ = joint_gaussian_condition(prior, design, study.truth.d, study.truth.z)
         got_mean = np.concatenate([fit.beta.mean(axis=0), fit.eta.mean(axis=0)])
         assert np.allclose(got_mean, want_mean, atol=0.08)
@@ -263,12 +263,12 @@ class TestSharedAtomKernel:
         p = x.shape[1]
         one = np.zeros(z.size, dtype=np.intp)
         f, g = next(msm._component_sums(msm._Rows(z, d, x, basis), one, 1))
-        mu, v, t = msm._diagonalise(f, g, BaseMeasure(p, 10.0, 1.0, basis.k, basis.k_inv))
+        mu, v, t = msm._diagonalise(f, g, BaseMeasure(p, 10.0, 1.0, basis.k_inv))
         assert np.all((mu >= 0.0) & (mu <= 1.0))
         u = np.hstack([x, entry_psi(basis)])
         for sigma2_eta in (1e-4, 1e-2, 1.0, 50.0, 1e4):
             s = msm._pencil_scales(mu, sigma2_eta)
-            base = BaseMeasure(p, 10.0, sigma2_eta, basis.k, basis.k_inv)
+            base = BaseMeasure(p, 10.0, sigma2_eta, basis.k_inv)
             want_mean, want_cov = cluster_posterior(np.arange(z.size), z, d, u, base)
             mean, cov = v @ (s * t), (v * s) @ v.T
             assert np.linalg.norm(mean - want_mean) <= 1e-10 * np.linalg.norm(want_mean)
@@ -279,7 +279,7 @@ class TestSharedAtomKernel:
         r = basis.r
         broken = MoranBasis(
             area_psi=basis.area_psi, eigenvalues=basis.eigenvalues, k_inv=-100.0 * np.eye(r),
-            k=-0.01 * np.eye(r), n_positive=basis.n_positive, tolerance=basis.tolerance,
+            n_positive=basis.n_positive, tolerance=basis.tolerance,
         )
         with pytest.raises(DefinitenessError) as caught:
             fit_msm(study.truth.z, study.truth.d, x, broken, MsmConfig(iterations=5, burn_in=1))
@@ -296,7 +296,7 @@ class TestSharedAtomKernel:
         z, d = study.truth.z, study.truth.d
         fit = fit_msm(z, d, x, basis, cfg)
         p = x.shape[1]
-        base = BaseMeasure(p, 10.0, sigma2_eta, basis.k, basis.k_inv)
+        base = BaseMeasure(p, 10.0, sigma2_eta, basis.k_inv)
         u = np.hstack([x, entry_psi(basis)])
         want_mean, _ = cluster_posterior(np.arange(z.size), z, d, u, base)
         got_mean = np.concatenate([fit.beta.mean(axis=0), fit.eta.mean(axis=0)])

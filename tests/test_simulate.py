@@ -174,12 +174,11 @@ class TestRunStudy:
 
     @pytest.mark.parametrize("algorithm", ["truncated", "dp"])
     def test_indefinite_atom_precision_recorded_not_raised(self, small_inputs, algorithm):
-        # K^{-1} = -100 I leaves every mixture atom posterior precision without
-        # a Cholesky factor: each replicate fails with DefinitenessError, and
-        # the study records it and goes on
+        # K^{-1} = -100 I has no Cholesky factor: each mixture replicate fails
+        # with DefinitenessError, and the study records it and goes on
         study, x, _, basis = small_inputs
         r = basis.r
-        broken = replace(basis, k_inv=-100.0 * np.eye(r), k=np.eye(r))
+        broken = replace(basis, k_inv=-100.0 * np.eye(r))
         cfg = quick_config(replicates=2, models=("msmm", "fh"), msmm_algorithm=algorithm)
         result = run_study(study.truth, x, broken, cfg)
         assert [model for _, model, *_ in result.rows] == ["fh", "fh"]

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -347,6 +348,24 @@ class TestBackTransform:
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
             back_transform(np.empty((0, 3)))
+
+    @pytest.mark.parametrize(
+        "draws", [[[800.0, 1.0]], [[709.7, 1.0], [0.0, 1.0]]], ids=["mean", "sd"]
+    )
+    def test_count_overflow_is_a_domain_error(self, draws):
+        # expm1(800) overflows the count mean; expm1(709.7) = 1.65e308 is
+        # finite, but its deviation from the mean overflows the count sd
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"log\(max float\) = 709\.78") as caught:
+                predict_summaries(np.array(draws))
+        assert caught.value.exit_code == 3
+
+    def test_largest_finite_count_summarises(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = back_transform(np.array([[709.7, 1.0]]))
+        assert out.mean[0] == math.expm1(709.7) and out.sd[0] == 0.0
 
 
 class TestPredictSummaries:
