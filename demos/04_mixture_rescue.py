@@ -53,9 +53,7 @@ print("\nmixture over latent clusters:")
 print("  posterior on cluster count:", {int(k): int(c) for k, c in zip(ks, counts)})
 print(f"  posterior mean alpha: {mixture.alpha.mean():.2f}")
 
-rand = np.mean(
-    [rand_index(mixture.assignments[t], study.groups) for t in range(mixture.n_retained)]
-)
+rand = np.mean([rand_index(labels, study.groups) for labels in mixture.assignments])
 print(f"  mean Rand index vs generating split: {rand:.3f}")
 
 err_mix = mixture.y.mean(axis=0) - study.truth.z

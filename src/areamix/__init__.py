@@ -80,7 +80,6 @@ from .simulate import (
 )
 from .spatial import (
     build_adjacency,
-    connected_components,
     expand_multivariate,
     icar_precision,
     read_edge_list,

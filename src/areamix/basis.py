@@ -11,7 +11,7 @@ adjacency; the basis keeps the m area rows of its n = m L entries.
 
 from __future__ import annotations
 
-import io
+import hashlib
 import math
 import os
 import zipfile
@@ -20,17 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DefinitenessError,
-    DomainError,
-    EmptyBasisError,
-    RankError,
-    ShapeError,
-)
+from .errors import DomainError, EmptyBasisError, RankError, ShapeError
 from .spatial import _check_adjacency, icar_precision
-from .util import sha256_bytes
+from .util import _cholesky
 
-EIGENVALUE_TOLERANCE = 1e-10
+EIGENVALUE_TOLERANCE = 1e-10  # relative threshold that calls an eigenvalue positive
 # how far an eigenvalue of S'S may sit from 0 or 1 (see moran_operator)
 PROJECTOR_TOLERANCE = 1e-10
 DEFAULT_FRACTION = 0.5
@@ -46,8 +40,8 @@ class MoranBasis:
     eigenvalues : the r selected (positive) eigenvalues, descending
     k_inv : (r, r) prior precision Psi' Q Psi, the inverse of the
         prior covariance K up to the scale parameter (K is never formed)
-    n_positive : how many positive eigenvalues the operator had in total
-    tolerance : relative threshold used to call an eigenvalue positive
+    n_positive : how many positive eigenvalues the operator had in total,
+        above EIGENVALUE_TOLERANCE times the largest magnitude
     cells : entries per area L (1 for an entry-level basis)
 
     Construction raises ShapeError when these shapes disagree and
@@ -58,7 +52,6 @@ class MoranBasis:
     eigenvalues: np.ndarray
     k_inv: np.ndarray
     n_positive: int
-    tolerance: float
     cells: int = 1
 
     def __post_init__(self):
@@ -190,10 +183,10 @@ def basis_precision(psi: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Restrict the graph precision to the basis: k_inv = Psi' Q Psi.
 
     Returns k_inv, symmetrised.  It must be positive definite, which
-    holds whenever the design contains an intercept; a Cholesky failure
-    is reported as a definiteness error (typical causes: no intercept
-    column, or a disconnected graph whose component indicators leak into
-    the basis).
+    holds whenever the design contains an intercept; one without a finite
+    Cholesky factor is reported as a definiteness error (typical causes:
+    no intercept column, or a disconnected graph whose component
+    indicators leak into the basis).
     """
     psi = np.asarray(psi, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -204,13 +197,11 @@ def basis_precision(psi: np.ndarray, q: np.ndarray) -> np.ndarray:
         raise ShapeError(f"precision is {q.shape}, basis has {n} rows")
     k_inv = psi.T @ q @ psi
     k_inv = (k_inv + k_inv.T) / 2.0
-    try:
-        np.linalg.cholesky(k_inv)
-    except np.linalg.LinAlgError:
-        raise DefinitenessError(
-            "basis precision Psi' Q Psi is not positive definite; "
-            "check that the design has an intercept and the graph is connected"
-        ) from None
+    _cholesky(
+        k_inv,
+        "basis precision Psi' Q Psi",
+        "check that the design has an intercept and the graph is connected",
+    )
     return k_inv
 
 
@@ -236,47 +227,55 @@ def build_basis(
         eigenvalues=cells * eigenvalues,
         k_inv=cells * k_inv,
         n_positive=n_positive,
-        tolerance=EIGENVALUE_TOLERANCE,
         cells=cells,
     )
 
 
+def _array_digest(*arrays: np.ndarray) -> str:
+    """sha256 over each array's shape and C-ordered bytes, in turn."""
+    h = hashlib.sha256()
+    for array in arrays:
+        h.update(repr(array.shape).encode())
+        h.update(np.ascontiguousarray(array))
+    return h.hexdigest()
+
+
 def basis_cache_key(x: np.ndarray, a: np.ndarray) -> str:
     """Content hash identifying a (design, adjacency) pair."""
-    x = np.ascontiguousarray(np.asarray(x, dtype=float))
-    a = np.ascontiguousarray(np.asarray(a, dtype=float))
-    h = io.BytesIO()
-    h.write(repr(x.shape).encode())
-    h.write(x.tobytes())
-    h.write(repr(a.shape).encode())
-    h.write(a.tobytes())
-    return sha256_bytes(h.getvalue())
+    return _array_digest(np.asarray(x, dtype=float), np.asarray(a, dtype=float))
 
 
 def cache_path(directory: str | Path, key: str) -> Path:
     return Path(directory) / f"moran_{key[:16]}.npz"
 
 
+# the arrays of a cache entry, in the order its digest covers them
+_ENTRY_ARRAYS = ("area_psi", "cells", "eigenvalues", "k_inv", "meta")
+
+
 def save_basis(basis: MoranBasis, directory: str | Path, key: str) -> Path:
     """Persist a basis keyed by the content hash of its inputs.
 
-    The file keeps the basis's area rows, L and k_inv.  It is written beside
-    its final name and moved into place, so an interrupted save never
-    leaves a partial entry under that name.
+    The file keeps the basis's area rows, L and k_inv, the meta pair
+    (n_positive, EIGENVALUE_TOLERANCE), and a ``digest`` of those arrays
+    that ``load_basis`` checks.  It is written beside its final name and
+    moved into place, so an interrupted save never leaves a partial entry
+    under that name.
     """
     path = cache_path(directory, key)
     path.parent.mkdir(parents=True, exist_ok=True)
     partial = path.with_name(f"{path.name}.{os.getpid()}.part")
+    arrays = dict(
+        area_psi=basis.area_psi,
+        cells=np.array(basis.cells),
+        eigenvalues=basis.eigenvalues,
+        k_inv=basis.k_inv,
+        meta=np.array([float(basis.n_positive), EIGENVALUE_TOLERANCE]),
+    )
+    digest = _array_digest(*(arrays[name] for name in _ENTRY_ARRAYS))
     try:
         with open(partial, "wb") as fh:
-            np.savez(
-                fh,
-                area_psi=basis.area_psi,
-                cells=np.array(basis.cells),
-                eigenvalues=basis.eigenvalues,
-                k_inv=basis.k_inv,
-                meta=np.array([float(basis.n_positive), basis.tolerance]),
-            )
+            np.savez(fh, **arrays, digest=np.array(digest))
         os.replace(partial, path)
     finally:
         partial.unlink(missing_ok=True)
@@ -285,21 +284,26 @@ def save_basis(basis: MoranBasis, directory: str | Path, key: str) -> Path:
 
 def load_basis(directory: str | Path, key: str) -> MoranBasis | None:
     """Load a cached basis as its area rows, or None when the key is absent
-    or its file unreadable, in an older format (one without ``area_psi``)
-    or holding arrays whose shapes disagree; a ``k`` (older entries hold K) is not read."""
+    or its file unreadable, in an older format (one without ``area_psi``),
+    without a ``digest`` or with one its arrays disagree with (an altered
+    entry), or holding arrays whose shapes disagree.  A ``k`` (older
+    entries hold K) is not read, and the meta pair's tolerance is not
+    checked: it is always EIGENVALUE_TOLERANCE."""
     path = cache_path(directory, key)
     if not path.exists():
         return None
     try:
         with np.load(path) as data:
-            meta = data["meta"]
+            arrays = [data[name] for name in _ENTRY_ARRAYS]
+            if str(data["digest"]) != _array_digest(*arrays):
+                return None
+            area_psi, cells, eigenvalues, k_inv, meta = arrays
             return MoranBasis(
-                area_psi=data["area_psi"],
-                eigenvalues=data["eigenvalues"],
-                k_inv=data["k_inv"],
+                area_psi=area_psi,
+                eigenvalues=eigenvalues,
+                k_inv=k_inv,
                 n_positive=int(meta[0]),
-                tolerance=float(meta[1]),
-                cells=int(data["cells"]),
+                cells=int(cells),
             )
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
         # a truncated or corrupt entry is a miss: the caller rebuilds and overwrites it

@@ -35,6 +35,7 @@ import numpy as np
 
 from . import __version__
 from .basis import (
+    EIGENVALUE_TOLERANCE,
     basis_cache_key,
     build_basis,
     cache_path,
@@ -326,7 +327,7 @@ def cmd_basis(config: dict, out_dir: Path) -> list[str]:
         "n": basis.n,
         "r": basis.r,
         "n_positive": basis.n_positive,
-        "tolerance": basis.tolerance,
+        "tolerance": EIGENVALUE_TOLERANCE,
         "design_columns": names,
         "eigenvalues": [float(v) for v in basis.eigenvalues],
         "psi_x_max_abs": float(np.max(np.abs(psi_x))),

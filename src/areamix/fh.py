@@ -15,15 +15,8 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DivergenceError
-from .msm import (
-    ChainConfig,
-    DrawRecorder,
-    _check_data,
-    _cholesky,
-    _gaussian_draw,
-    _inverse_gamma_conditional,
-    draw_inverse_gamma,
-)
+from .msm import ChainConfig, DrawRecorder, _check_data, _gaussian_draw, draw_inverse_gamma
+from .util import _cholesky
 
 
 @dataclass
@@ -44,10 +37,6 @@ class FhDraws:
     sigma2: np.ndarray
     y: np.ndarray
     seed: int
-
-    @property
-    def n_retained(self) -> int:
-        return self.y.shape[0]
 
 
 def fit_fh(z, d, x, config: FhConfig | None = None) -> FhDraws:
@@ -88,10 +77,7 @@ def fit_fh(z, d, x, config: FhConfig | None = None) -> FhDraws:
         beta = _gaussian_draw(rng, chol_beta, xt_dinv @ (z - nu))
 
         if fixed is None:
-            shape, scale = _inverse_gamma_conditional(
-                config.a_sigma, config.b_sigma, n, float(nu @ nu), t
-            )
-            sigma2 = draw_inverse_gamma(rng, shape, scale)
+            sigma2 = draw_inverse_gamma(rng, config.a_sigma, config.b_sigma, n, float(nu @ nu), t)
 
         if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(nu)) and np.isfinite(sigma2)):
             raise DivergenceError("non-finite draw", iteration=t)

@@ -45,13 +45,12 @@ from .msm import (
     BaseMeasure,
     ChainConfig,
     DrawRecorder,
-    _cholesky,
     _component_sums,
     _gaussian_draw,
-    _inverse_gamma_conditional,
     _Rows,
     draw_inverse_gamma,
 )
+from .util import _cholesky
 
 
 def _log_weights(sticks: np.ndarray) -> np.ndarray:
@@ -147,10 +146,6 @@ class MixturePosterior:
     assignments: np.ndarray
     seed: int
 
-    @property
-    def n_retained(self) -> int:
-        return self.y.shape[0]
-
 
 def _draw_atoms(rng, stats, base: BaseMeasure, chol_k_inv, config: MixtureConfig, t: int):
     """Every component's atom and sigma2_eta, in the partially collapsed order.
@@ -180,10 +175,7 @@ def _draw_atoms(rng, stats, base: BaseMeasure, chol_k_inv, config: MixtureConfig
         eta_quad += float(eta @ base.k_inv @ eta)
         atoms.append(theta)
     occupied = len(atoms) - len(empty)
-    shape, scale = _inverse_gamma_conditional(
-        config.a_eta, config.b_eta, occupied * base.r, eta_quad, t
-    )
-    sigma2_eta = draw_inverse_gamma(rng, shape, scale)
+    sigma2_eta = draw_inverse_gamma(rng, config.a_eta, config.b_eta, occupied * base.r, eta_quad, t)
     fresh = base.at(sigma2_eta)
     for m in empty:
         atoms[m] = fresh.draw(rng, chol_k_inv)

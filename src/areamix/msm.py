@@ -10,8 +10,8 @@ Priors
 Given sigma2_eta, theta = (beta, eta) has the Gaussian prior
 ``BaseMeasure`` and, with U = [X, Psi], one Gaussian posterior of
 precision P = U' D^{-1} U + Sigma0^{-1}; sigma2_eta given eta is
-inverse gamma (``_inverse_gamma_conditional``).  The module forms that
-coefficient posterior in these parts:
+inverse gamma (``draw_inverse_gamma``, which every sampler calls once a
+sweep).  The module forms that coefficient posterior in these parts:
 
 * ``_component_sums`` forms F = U' D^{-1} U and g = U' D^{-1} z of
   every component of a labelling, summed per (area, component) from the
@@ -23,7 +23,7 @@ coefficient posterior in these parts:
   per fit (``_diagonalise``) and draws theta and sigma2_eta in O(p + r)
   a sweep.
 * ``_gaussian_draw`` draws from N(P^{-1} g, P^{-1}) given the Cholesky
-  factor of P (``_cholesky``): mixture atoms, prior etas and fh's beta.
+  factor of P (``util._cholesky``): mixture atoms, prior etas and fh's beta.
 
 ``ChainConfig`` and ``DrawRecorder`` are the chain settings and draw
 storage that every sampler shares.
@@ -41,6 +41,7 @@ from scipy.linalg import get_lapack_funcs
 
 from .basis import MoranBasis
 from .errors import DefinitenessError, DivergenceError, DomainError, ShapeError
+from .util import _cholesky
 
 
 @dataclass
@@ -143,10 +144,6 @@ class PosteriorDraws:
     y: np.ndarray
     seed: int
 
-    @property
-    def n_retained(self) -> int:
-        return self.y.shape[0]
-
 
 def _check_data(z, d, x):
     """Coerce and check (z, d, x): n values, n positive variances, an (n, p) design."""
@@ -206,20 +203,15 @@ class BaseMeasure:
         return np.concatenate([head, math.sqrt(self.sigma2_eta) * eta])
 
 
-def _inverse_gamma_conditional(a, b, dof, quad: float, iteration=None) -> tuple[float, float]:
-    """(shape, scale) = (a + dof/2, b + quad/2): an InverseGamma(a, b) variance
-    given ``dof`` Gaussian coordinates with precision-weighted sum of squares
-    ``quad``.  A non-finite scale raises DivergenceError at ``iteration``.
-    """
+def draw_inverse_gamma(rng: np.random.Generator, a, b, dof=0, quad=0.0, iteration=None) -> float:
+    """One InverseGamma(a + dof/2, b + quad/2) variate, as 1 / Gamma(shape, rate=scale):
+    the law of an InverseGamma(a, b) variance given ``dof`` Gaussian coordinates
+    with precision-weighted sum of squares ``quad``.  A non-finite scale raises
+    DivergenceError at ``iteration``."""
     scale = b + quad / 2.0
     if not np.isfinite(scale):
         raise DivergenceError("inverse-gamma scale diverged", iteration=iteration)
-    return a + dof / 2.0, scale
-
-
-def draw_inverse_gamma(rng: np.random.Generator, shape: float, scale: float) -> float:
-    """One InverseGamma(shape, scale) variate: 1 / Gamma(shape, rate=scale)."""
-    return float(1.0 / rng.gamma(shape, 1.0 / scale))
+    return float(1.0 / rng.gamma(a + dof / 2.0, 1.0 / scale))
 
 
 class _Rows:
@@ -305,23 +297,6 @@ def _component_sums(rows: _Rows, c: np.ndarray, m_comp: int):
         f[:p, p:] = cross[:, :p].T
         f[p:, p:] = spatial.T @ spatial
         yield f, np.concatenate([top[:, p], cross[:, p]])
-
-
-_K_HINT = "check that the basis precision K^{-1} is positive definite"
-
-
-def _cholesky(matrix: np.ndarray, what: str, hint: str = _K_HINT) -> np.ndarray:
-    """The Cholesky factor of ``matrix``; DefinitenessError when it has no
-    finite one.  A non-finite entry of ``matrix`` leaves NaN or inf on the
-    factor's diagonal, and a finite diagonal entry is at most the square
-    root of the largest float, so a finite trace means a finite factor."""
-    try:
-        chol = np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
-        chol = None
-    if chol is None or not math.isfinite(chol.trace()):
-        raise DefinitenessError(f"{what} is not positive definite or not finite; {hint}")
-    return chol
 
 
 _trtrs = get_lapack_funcs("trtrs", dtype=np.float64)
@@ -410,8 +385,7 @@ def fit_msm(z, d, x, basis: MoranBasis, config: MsmConfig | None = None) -> Post
 
         if fixed is None:
             quad = float(mu @ (w * w))
-            shape, scale = _inverse_gamma_conditional(config.a_eta, config.b_eta, r, quad, sweep)
-            sigma2_eta = draw_inverse_gamma(rng, shape, scale)
+            sigma2_eta = draw_inverse_gamma(rng, config.a_eta, config.b_eta, r, quad, sweep)
 
         if not (np.all(np.isfinite(w)) and np.isfinite(sigma2_eta)):
             raise DivergenceError("non-finite draw", iteration=sweep)

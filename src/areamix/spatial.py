@@ -102,8 +102,3 @@ def icar_precision(a: np.ndarray) -> np.ndarray:
     a = _check_adjacency(a)
     return np.diag(a.sum(axis=1)) - a
 
-
-def connected_components(a: np.ndarray) -> np.ndarray:
-    """Component label (0-based, int32) for each node of an adjacency matrix."""
-    # a sparse input skips csgraph's dense-input conversion, which costs more
-    return csgraph.connected_components(csr_array(_check_adjacency(a)), directed=False)[1]

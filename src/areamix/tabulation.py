@@ -54,15 +54,6 @@ class TabulationTable:
     def n_rows(self) -> int:
         return len(self.areas) * self.n_cells
 
-    def index_of(self, area: str, cell: int) -> int:
-        try:
-            i = self.areas.index(area)
-        except ValueError:
-            raise KeyError(f"unknown area {area!r}") from None
-        if not 1 <= cell <= self.n_cells:
-            raise KeyError(f"cell {cell} outside 1..{self.n_cells}")
-        return i * self.n_cells + (cell - 1)
-
     def keys(self) -> list[tuple[str, int]]:
         return [(a, s) for a in self.areas for s in range(1, self.n_cells + 1)]
 

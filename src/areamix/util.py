@@ -1,4 +1,4 @@
-"""Small shared helpers: seed derivation, hashing, text input, CSV formatting, Rand index."""
+"""Small shared helpers: seeds, hashing, Cholesky, text input, CSV formatting, Rand index."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .errors import SchemaError, ShapeError
+from .errors import DefinitenessError, SchemaError, ShapeError
 
 
 def derive_seed(*parts: int) -> int:
@@ -37,6 +37,23 @@ def sha256_file(path: str | Path) -> str:
         for block in iter(lambda: fh.read(1 << 20), b""):
             h.update(block)
     return h.hexdigest()
+
+
+_K_HINT = "check that the basis precision K^{-1} is positive definite"
+
+
+def _cholesky(matrix: np.ndarray, what: str, hint: str = _K_HINT) -> np.ndarray:
+    """The Cholesky factor of ``matrix``; DefinitenessError when it has no
+    finite one.  A non-finite entry of ``matrix`` leaves NaN or inf on the
+    factor's diagonal, and a finite diagonal entry is at most the square
+    root of the largest float, so a finite trace means a finite factor."""
+    try:
+        chol = np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        chol = None
+    if chol is None or not math.isfinite(chol.trace()):
+        raise DefinitenessError(f"{what} is not positive definite or not finite; {hint}")
+    return chol
 
 
 @contextmanager

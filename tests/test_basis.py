@@ -197,6 +197,12 @@ class TestBasisPrecision:
         with pytest.raises(DefinitenessError):
             basis_precision(psi, q)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    def test_overflowing_precision_fails(self):
+        # Psi' Q Psi = [[inf]]: numpy factors it without complaint
+        with pytest.raises(DefinitenessError, match="not positive definite or not finite"):
+            basis_precision(np.array([[1e200], [0.0]]), np.eye(2))
+
     def test_shape_checks(self):
         with pytest.raises(ShapeError):
             basis_precision(np.zeros(4), np.eye(4))
@@ -378,7 +384,6 @@ class TestCache:
         assert np.array_equal(loaded.k_inv, basis.k_inv)
         assert np.array_equal(loaded.eigenvalues, basis.eigenvalues)
         assert loaded.n_positive == basis.n_positive
-        assert loaded.tolerance == basis.tolerance
         assert loaded.cells == basis.cells == 1
 
     @pytest.mark.parametrize("n_cells", [1, 4])
@@ -405,8 +410,23 @@ class TestCache:
         with open(cache_path(tmp_path, key), "wb") as fh:
             np.savez(
                 fh, psi=entry_psi(basis), eigenvalues=basis.eigenvalues, k_inv=basis.k_inv,
-                k=np.linalg.inv(basis.k_inv), meta=np.array([float(basis.n_positive), basis.tolerance]),
+                k=np.linalg.inv(basis.k_inv), meta=np.array([float(basis.n_positive), 1e-10]),
             )
+        assert load_basis(tmp_path, key) is None
+
+    @pytest.mark.parametrize("alter", ["double k_inv", "drop digest"])
+    def test_altered_entry_is_a_miss(self, small_inputs, tmp_path, alter):
+        _, x, a, basis = small_inputs
+        key = basis_cache_key(x, a)
+        path = save_basis(basis, tmp_path, key)
+        with np.load(path) as data:
+            arrays = dict(data)
+        if alter == "double k_inv":
+            arrays["k_inv"] = 2.0 * arrays["k_inv"]
+        else:
+            del arrays["digest"]
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
         assert load_basis(tmp_path, key) is None
 
     def test_missing_key_returns_none(self, tmp_path):

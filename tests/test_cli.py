@@ -245,12 +245,12 @@ class TestBasisCache:
         assert (half["from_cache"], half["cache_file"]) == (True, default["cache_file"])
 
     @staticmethod
-    def check_damaged_entry_is_rebuilt(fixture10, tmp_path, damage):
-        """A fit whose cache entry ``damage`` rewrote rebuilds the entry, byte
-        for byte, and predicts what the cold fit did."""
+    def check_damaged_entry_is_rebuilt(inputs, tmp_path, damage):
+        """A fit on ``inputs`` whose cache entry ``damage`` rewrote rebuilds the
+        entry, byte for byte, and predicts what the cold fit did."""
         cache = tmp_path / "cache"
         cfg = fit_config(
-            fixture10, tmp_path, model="msm", basis_cache=str(cache), iterations=60, burn_in=20
+            inputs, tmp_path, model="msm", basis_cache=str(cache), iterations=60, burn_in=20
         )
         assert main(["fit", str(cfg), "--out", str(tmp_path / "cold")]) == 0
         (entry,) = cache.iterdir()
@@ -278,6 +278,17 @@ class TestBasisCache:
                 np.savez(fh, **arrays)
 
         self.check_damaged_entry_is_rebuilt(fixture10, tmp_path, grow_k_inv)
+
+    def test_entry_with_altered_k_inv_is_rebuilt(self, tmp_path):
+        # a readable entry of consistent shapes whose k_inv was doubled
+        def double_k_inv(entry):
+            with np.load(entry) as data:
+                arrays = dict(data)
+            arrays["k_inv"] = 2.0 * arrays["k_inv"]
+            with open(entry, "wb") as fh:
+                np.savez(fh, **arrays)
+
+        self.check_damaged_entry_is_rebuilt(DATA_DIR / "fixture_grid", tmp_path, double_k_inv)
 
     def test_entry_holding_k_loads(self, tmp_path):
         # entries once also held the covariance k = inv(k_inv); one loads as

@@ -22,7 +22,7 @@ class TestFitFh:
         cfg = FhConfig(iterations=60, burn_in=25, thin=5, seed=0)
         fit = fit_fh(z, d, x, cfg)
         # retained iterations: 25, 30, ..., 55
-        assert fit.n_retained == 7
+        assert len(fit.y) == 7
         assert fit.beta.shape == (7, 2)
         assert fit.nu.shape == (7, 12)
         assert fit.sigma2.shape == (7,)

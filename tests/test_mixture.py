@@ -487,7 +487,7 @@ def run_assign(seed, z, d, u, theta, log_prior, cells=1):
     r = area_psi.shape[1]
     basis = MoranBasis(
         area_psi=area_psi, eigenvalues=np.ones(r), k_inv=np.eye(r),
-        n_positive=r, tolerance=1e-10, cells=cells,
+        n_positive=r, cells=cells,
     )
     rows = mixture._Rows(spread(z, cells), spread(d, cells), spread(u[:, :1], cells), basis)
     return mixture._assign(np.random.default_rng(seed), rows, theta, log_prior)
@@ -782,8 +782,7 @@ def blank_inputs(small_inputs):
     study = small_inputs[0]
     n = study.truth.n_rows
     basis = MoranBasis(
-        area_psi=np.zeros((n, 1)), eigenvalues=np.ones(1), k_inv=np.eye(1),
-        n_positive=1, tolerance=1e-10,
+        area_psi=np.zeros((n, 1)), eigenvalues=np.ones(1), k_inv=np.eye(1), n_positive=1
     )
     return study.truth.z, study.truth.d, np.zeros((n, 1)), basis
 
@@ -800,7 +799,7 @@ class TestFitDp:
         study, x, _, basis = small_inputs
         cfg = MixtureConfig(iterations=40, burn_in=10, thin=2, seed=3)
         fit = fit_msmm_dp(study.truth.z, study.truth.d, x, basis, cfg)
-        assert fit.n_retained == 15
+        assert len(fit.y) == 15
         n = study.truth.n_rows
         assert fit.y.shape == (15, n)
         assert fit.assignments.shape == (15, n)
@@ -881,7 +880,7 @@ class TestMsmOnBlankInputs:
         # every fitted y exactly 0 whatever the coefficients drawn
         z, d, x, basis = blank_inputs
         fit = fit_msm(z, d, x, basis, MsmConfig(iterations=40, burn_in=10, seed=3))
-        assert fit.n_retained == 30
+        assert len(fit.y) == 30
         assert np.all(fit.y == 0.0)
         assert np.all(np.isfinite(fit.beta)) and np.all(np.isfinite(fit.eta))
 
@@ -996,7 +995,7 @@ class TestFitTruncated:
         study, x, _, basis = small_inputs
         cfg = MixtureConfig(iterations=40, burn_in=20, thin=4, seed=3, truncation_m=12)
         fit = fit_msmm_truncated(study.truth.z, study.truth.d, x, basis, cfg)
-        assert fit.n_retained == 5
+        assert len(fit.y) == 5
         assert fit.y.shape == (5, study.truth.n_rows)
         assert np.all(fit.n_clusters <= 12)
         assert np.all(fit.assignments < 12)

@@ -55,7 +55,7 @@ def random_area_inputs(rng, m, cells, p=3, r=4):
     area, _ = np.linalg.qr(rng.normal(size=(m, r)))
     basis = MoranBasis(
         area_psi=area / np.sqrt(cells), eigenvalues=np.ones(r),
-        k_inv=np.eye(r), n_positive=r, tolerance=1e-10, cells=cells,
+        k_inv=np.eye(r), n_positive=r, cells=cells,
     )
     x = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
     return rng.normal(size=n), rng.uniform(0.05, 2.0, size=n), x, basis
@@ -85,11 +85,18 @@ class TestConditionalSigma2Eta:
     def test_shape_and_scale(self):
         eta = np.array([1.0, 2.0])
         k_inv = np.array([[2.0, 0.0], [0.0, 0.5]])
-        quad = float(eta @ k_inv @ eta)
-        shape, scale = msm._inverse_gamma_conditional(0.1, 0.1, eta.size, quad)
-        assert shape == pytest.approx(0.1 + 1.0)
-        # eta' K^{-1} eta = 2 + 2 = 4
-        assert scale == pytest.approx(0.1 + 2.0)
+        quad = float(eta @ k_inv @ eta)  # eta' K^{-1} eta = 2 + 2 = 4
+        a, b, dof = 0.1, 0.1, eta.size
+        for seed in range(5):
+            got = draw_inverse_gamma(np.random.default_rng(seed), a, b, dof, quad)
+            want = draw_inverse_gamma(np.random.default_rng(seed), a + dof / 2, b + quad / 2)
+            assert got == want
+
+    @pytest.mark.parametrize("quad", [np.inf, np.nan])
+    def test_non_finite_scale_is_a_divergence(self, quad):
+        with pytest.raises(DivergenceError, match=r"scale diverged \(iteration 7\)") as caught:
+            draw_inverse_gamma(np.random.default_rng(0), 0.1, 0.1, 2, quad, 7)
+        assert caught.value.iteration == 7
 
 
 class TestDrawInverseGamma:
@@ -142,7 +149,7 @@ class TestFitMsm:
         log_table = study.truth
         fit = fit_msm(log_table.z, log_table.d, x, basis, cfg)
         # retained iterations: 20, 23, ..., 47
-        assert fit.n_retained == 10
+        assert len(fit.y) == 10
         assert fit.beta.shape == (10, x.shape[1])
         assert fit.eta.shape == (10, basis.r)
         assert fit.sigma2_eta.shape == (10,)
@@ -279,7 +286,7 @@ class TestSharedAtomKernel:
         r = basis.r
         broken = MoranBasis(
             area_psi=basis.area_psi, eigenvalues=basis.eigenvalues, k_inv=-100.0 * np.eye(r),
-            n_positive=basis.n_positive, tolerance=basis.tolerance,
+            n_positive=basis.n_positive,
         )
         with pytest.raises(DefinitenessError) as caught:
             fit_msm(study.truth.z, study.truth.d, x, broken, MsmConfig(iterations=5, burn_in=1))

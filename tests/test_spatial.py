@@ -10,7 +10,6 @@ from areamix import (
     UnknownAreaError,
     build_adjacency,
     build_basis,
-    connected_components,
     expand_multivariate,
     icar_precision,
     moran_operator,
@@ -135,8 +134,6 @@ class TestIcarPrecision:
         eigs = np.linalg.eigvalsh(q)
         assert eigs.min() > -1e-12
         assert int(np.sum(np.abs(eigs) < 1e-10)) == 2
-        labels = connected_components(w)
-        assert len(set(labels.tolist())) == 2
 
 
 class TestNonFiniteAdjacency:
@@ -159,48 +156,3 @@ class TestNonFiniteAdjacency:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="adjacency entries must be finite"):
                 call(x, a)
-
-
-def depth_first_components(a: np.ndarray) -> np.ndarray:
-    """Component labels numbered in order of each component's lowest node."""
-    n = a.shape[0]
-    labels = np.full(n, -1)
-    current = 0
-    for start in range(n):
-        if labels[start] >= 0:
-            continue
-        stack = [start]
-        labels[start] = current
-        while stack:
-            for nbr in np.flatnonzero(a[stack.pop()] > 0):
-                if labels[nbr] < 0:
-                    labels[nbr] = current
-                    stack.append(int(nbr))
-        current += 1
-    return labels
-
-
-class TestConnectedComponents:
-    def test_matches_depth_first_search(self):
-        rng = np.random.default_rng(12)
-        for _ in range(100):
-            n = int(rng.integers(2, 25))
-            upper = np.triu(rng.random((n, n)) < rng.uniform(0.02, 0.3), k=1)
-            a = (upper | upper.T).astype(float)
-            labels = connected_components(a)
-            assert labels.dtype == np.int32
-            assert np.array_equal(labels, depth_first_components(a))
-
-    def test_grid_is_connected(self):
-        areas, edges = grid_graph(3, 3)
-        w = build_adjacency(areas, edges)
-        assert len(set(connected_components(w).tolist())) == 1
-
-    def test_labels_cover_members(self):
-        areas = ("a", "b", "c", "d", "e")
-        with pytest.warns(UserWarning):
-            w = build_adjacency(areas, [("a", "b"), ("c", "d")])
-        labels = connected_components(w)
-        assert labels[0] == labels[1]
-        assert labels[2] == labels[3]
-        assert labels[4] not in (labels[0], labels[2])
