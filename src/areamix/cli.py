@@ -35,6 +35,7 @@ import numpy as np
 
 from . import __version__
 from .basis import (
+    DEFAULT_FRACTION,
     EIGENVALUE_TOLERANCE,
     basis_cache_key,
     build_basis,
@@ -49,12 +50,13 @@ from .errors import AreamixError, ConfigError, DomainError, SchemaError
 from .fh import fit_fh
 from .loess import check_span
 from .mixture import fit_msmm_dp, fit_msmm_truncated
-from .models import MODELS, Model, check_models
+from .models import MODELS, MSMM_ALGORITHMS, Model, check_models
 from .msm import fit_msm
 from .simulate import StudyConfig, run_study, write_study_csv, write_study_summary_csv
 from .spatial import build_adjacency, read_edge_list
 from .tabulation import (
     DEFAULT_COLUMNS,
+    GVF_SPAN,
     gvf_impute,
     load_tabulation,
     log_transform,
@@ -67,25 +69,26 @@ from .util import derive_seed, format_value, open_text, sha256_bytes, sha256_fil
 TABLE_INPUTS = ("tabulation", "adjacency", "population")
 
 # key -> (type, default); None means "no default, may be required per command".
-# iterations and burn_in default per model (models.Model); the other sampler
-# settings are added below from the models' config classes
+# A default the library owns is read from it, not repeated here; iterations and
+# burn_in default per model (models.Model), and the other sampler settings are
+# added below from the models' config classes
 CONFIG_SPEC: dict[str, tuple[str, object]] = {
     **{key: ("path", None) for key in TABLE_INPUTS},
     "draws": ("path", None),
     "out": ("str", "."),
     "model": ("str", "msmm"),
-    "algorithm": ("str", "truncated"),
-    "basis_fraction": ("float", 0.5),
+    "algorithm": ("str", MSMM_ALGORITHMS[0]),
+    "basis_fraction": ("float", DEFAULT_FRACTION),
     "basis_r": ("int", None),
     "basis_cache": ("str", None),
     "iterations": ("int", None),
     "burn_in": ("int", None),
     "chains": ("int", 2),
     "seed": ("int", 0),
-    "gvf_span": ("float", 0.75),
-    "replicates": ("int", 100),
-    "workers": ("int", 1),
-    "models": ("str", "msmm,fh"),
+    "gvf_span": ("float", GVF_SPAN),
+    "replicates": ("int", StudyConfig.replicates),
+    "workers": ("int", StudyConfig.workers),
+    "models": ("str", ",".join(StudyConfig.models)),
     "write_draws": ("bool", True),
     **{f"col_{role}": ("str", None) for role in DEFAULT_COLUMNS},
 }
@@ -127,7 +130,7 @@ def read_config(path: str | Path) -> dict:
     values = {k: default for k, (_, default) in CONFIG_SPEC.items()}
     first_line: dict[str, int] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -338,7 +341,7 @@ def cmd_basis(config: dict, out_dir: Path) -> list[str]:
     }
     _write_json(out_dir / "basis_report.json", report)
     outputs = ["basis_report.json"]
-    if Path(cache_dir) == out_dir:
+    if Path(cache_dir).resolve() == out_dir.resolve():
         outputs.append(cache_file.name)
     _write_manifest(out_dir, "basis", config, TABLE_INPUTS, outputs)
     return outputs

@@ -14,6 +14,9 @@ from .errors import (
 )
 
 MIN_CHAIN = 100
+# Geweke's windows: the first 10% of a chain against its last 50%
+GEWEKE_FIRST = 0.1
+GEWEKE_LAST = 0.5
 
 
 def _as_chain(chain, minimum: int = MIN_CHAIN) -> np.ndarray:
@@ -41,21 +44,17 @@ def batch_means_se(chain) -> float:
     return float(means.std(ddof=1) / math.sqrt(nb))
 
 
-def geweke(chain, first: float = 0.1, last: float = 0.5) -> float:
-    """Z-score comparing the mean of an early window to a late window.
+def geweke(chain) -> float:
+    """Z-score comparing the mean of the first 10% of a chain to its last 50%.
 
     Window means are compared with batch-means standard errors:
     z = (mean_first - mean_last) / sqrt(se_first^2 + se_last^2).
-    The windows must not overlap and each must hold at least 100 draws.
+    Each window must hold at least 100 draws.
     """
-    if not (0.0 < first < 1.0 and 0.0 < last < 1.0):
-        raise DomainError("window fractions must lie in (0, 1)")
-    if first + last > 1.0:
-        raise DomainError("windows overlap: first + last must be <= 1")
     x = _as_chain(chain, minimum=2)
     n = x.size
-    n_first = int(math.floor(first * n))
-    n_last = int(math.floor(last * n))
+    n_first = int(math.floor(GEWEKE_FIRST * n))
+    n_last = int(math.floor(GEWEKE_LAST * n))
     if n_first < MIN_CHAIN or n_last < MIN_CHAIN:
         raise InsufficientDataError(
             f"windows of {n_first} and {n_last} draws are too short (need {MIN_CHAIN})"

@@ -36,7 +36,6 @@ class FhDraws:
     nu: np.ndarray
     sigma2: np.ndarray
     y: np.ndarray
-    seed: int
 
 
 def fit_fh(z, d, x, config: FhConfig | None = None) -> FhDraws:
@@ -88,4 +87,4 @@ def fit_fh(z, d, x, config: FhConfig | None = None) -> FhDraws:
                 raise DivergenceError("non-finite latent field", iteration=t)
             draws.record(beta=beta, nu=nu, sigma2=sigma2, y=y)
 
-    return FhDraws(**draws.columns, seed=config.seed)
+    return FhDraws(**draws.columns)

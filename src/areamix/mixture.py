@@ -144,7 +144,6 @@ class MixturePosterior:
     sigma2_eta: np.ndarray
     n_clusters: np.ndarray
     assignments: np.ndarray
-    seed: int
 
 
 def _draw_atoms(rng, stats, base: BaseMeasure, chol_k_inv, config: MixtureConfig, t: int):
@@ -358,7 +357,7 @@ def fit_msmm_dp(
         alpha = _draw_alpha(rng, sticks, alpha, config)
         _record(draws, t, rows, theta, c, alpha, sigma2_eta, k_occ)
 
-    return MixturePosterior(**draws.columns, seed=config.seed)
+    return MixturePosterior(**draws.columns)
 
 
 def fit_msmm_truncated(
@@ -393,4 +392,4 @@ def fit_msmm_truncated(
         alpha = _draw_alpha(rng, sticks, alpha, config)
         _record(draws, t, rows, theta, c, alpha, sigma2_eta, k_occ)
 
-    return MixturePosterior(**draws.columns, seed=config.seed)
+    return MixturePosterior(**draws.columns)

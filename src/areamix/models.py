@@ -21,8 +21,8 @@ from .fh import FhConfig
 from .mixture import MixtureConfig
 from .msm import ChainConfig, MsmConfig
 
-# samplers for msmm: truncated stick-breaking, or the exact Dirichlet process by
-# slice sampling; both run the same blocked sweep
+# samplers for msmm, the default first: truncated stick-breaking, or the exact
+# Dirichlet process by slice sampling; both run the same blocked sweep
 MSMM_ALGORITHMS = ("truncated", "dp")
 
 

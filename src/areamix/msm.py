@@ -142,7 +142,6 @@ class PosteriorDraws:
     eta: np.ndarray
     sigma2_eta: np.ndarray
     y: np.ndarray
-    seed: int
 
 
 def _check_data(z, d, x):
@@ -397,4 +396,4 @@ def fit_msm(z, d, x, basis: MoranBasis, config: MsmConfig | None = None) -> Post
                 raise DivergenceError("non-finite latent field", iteration=sweep)
             draws.record(beta=theta[:p], eta=theta[p:], sigma2_eta=sigma2_eta, y=y)
 
-    return PosteriorDraws(**draws.columns, seed=config.seed)
+    return PosteriorDraws(**draws.columns)

@@ -21,7 +21,7 @@ from .basis import MoranBasis
 from .errors import DefinitenessError, DivergenceError, DomainError, ShapeError
 from .fh import FhConfig, fit_fh
 from .mixture import MixtureConfig, fit_msmm_dp, fit_msmm_truncated
-from .models import MODELS, check_models
+from .models import MODELS, MSMM_ALGORITHMS, check_models
 from .msm import MsmConfig, fit_msm
 from .util import derive_seed, format_value, rand_index
 
@@ -74,7 +74,7 @@ class StudyConfig:
     replicates: int = 100
     master_seed: int = 0
     models: tuple[str, ...] = ("msmm", "fh")
-    msmm_algorithm: str = "truncated"
+    msmm_algorithm: str = MSMM_ALGORITHMS[0]
     msm: MsmConfig = field(default_factory=MsmConfig)
     msmm: MixtureConfig = field(default_factory=MixtureConfig)
     fh: FhConfig = field(default_factory=FhConfig)
@@ -95,14 +95,13 @@ class StudyConfig:
 
 @dataclass(frozen=True)
 class StudyResult:
-    """Rows (replicate, model, *scores), a score per METRICS entry; failures kept apart."""
+    """Rows (replicate, model, *scores), a score per METRICS entry; failures kept
+    apart; ``rand`` maps a replicate to its mean Rand index against the reference."""
 
     rows: tuple[tuple[int, str, float, float], ...]
     divergent: tuple[tuple[int, str, str], ...]
     rand: dict[int, float]
     models: tuple[str, ...]
-    replicates: int
-    master_seed: int
 
     def scores(self, model: str, metric: str) -> np.ndarray:
         col = 2 + list(METRICS).index(metric)
@@ -202,8 +201,6 @@ def run_study(
         divergent=tuple(failures),
         rand=rand,
         models=tuple(config.models),
-        replicates=config.replicates,
-        master_seed=config.master_seed,
     )
 
 

@@ -10,14 +10,14 @@ from .errors import DomainError
 from .tabulation import LogTable, TabulationTable
 
 
-def grid_graph(n_rows: int, n_cols: int, state: str = "06") -> tuple[list[str], list[tuple[str, str]]]:
+def grid_graph(n_rows: int, n_cols: int) -> tuple[list[str], list[tuple[str, str]]]:
     """Rook-adjacency grid of areas with stable county-style identifiers.
 
-    Areas are numbered row-major; the identifier of area j is the state
-    code followed by a three-digit county code, so it concatenates the
-    same way real tabulation rows do.
+    Areas are numbered row-major; the identifier of area j is the
+    two-digit state code 06 followed by a three-digit county code, so it
+    concatenates the same way real tabulation rows do.
     """
-    areas = [f"{state}{j:03d}" for j in range(n_rows * n_cols)]
+    areas = [f"06{j:03d}" for j in range(n_rows * n_cols)]
     edges: list[tuple[str, str]] = []
     for rr in range(n_rows):
         for cc in range(n_cols):
@@ -52,15 +52,13 @@ def two_field_study(
     n_cols: int = 6,
     n_cells: int = 4,
     seed: int = 0,
-    d_low: float = 0.2,
-    d_high: float = 0.5,
 ) -> SyntheticStudy:
     """Grid truth with two spatial regimes of distinct shape and scale.
 
     Cells 1..L/2 follow a high-level field rising west to east; the
     remaining cells follow a low-level field rising north to south with
     a smaller amplitude.  Sampling variances are drawn uniformly from
-    [d_low, d_high].  Everything is deterministic given the seed.
+    [0.2, 0.5].  Everything is deterministic given the seed.
     """
     if n_cells < 2:
         raise DomainError("need at least two cells to form two groups")
@@ -85,7 +83,7 @@ def two_field_study(
     groups = (cell_ids > n_cells // 2).astype(int)
     offsets = 0.25 * np.cos(np.arange(n_cells))  # mild per-cell level shifts
     z = np.where(groups == 0, field_a[area_ids], field_b[area_ids]) + offsets[cell_ids - 1]
-    d = rng.uniform(d_low, d_high, size=n)
+    d = rng.uniform(0.2, 0.5, size=n)
 
     population = {
         a: float(np.round(2000.0 * np.exp(1.5 * col_frac[j] + 0.5 * row_frac[j])))

@@ -38,6 +38,8 @@ DEFAULT_COLUMNS = {
 # Smoothed variances are clipped away from zero so every entry stays usable
 # as a Gaussian sampling variance.
 IMPUTATION_FLOOR = 1e-6
+# the variance smoother's span: the share of defined variances in each local fit
+GVF_SPAN = 0.75
 
 
 @dataclass(frozen=True)
@@ -215,11 +217,12 @@ def log_transform(table: TabulationTable) -> LogTable:
     )
 
 
-def gvf_impute(log_table: LogTable, span: float = 0.75) -> LogTable:
+def gvf_impute(log_table: LogTable, span: float = GVF_SPAN) -> LogTable:
     """Fill undefined log-scale variances by smoothing the defined ones.
 
     A local-linear tricube smoother of variance on a size predictor plays
-    the role of a generalised variance function.  The predictor is log
+    the role of a generalised variance function; ``span`` is its
+    neighbourhood share, GVF_SPAN by default.  The predictor is log
     sample size when the table has one, otherwise z itself.  Smoothed
     values are clipped below at IMPUTATION_FLOOR.  Each distinct predictor
     value is smoothed once: without sample sizes every zero-count entry

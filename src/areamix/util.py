@@ -59,9 +59,9 @@ def _cholesky(matrix: np.ndarray, what: str, hint: str = _K_HINT) -> np.ndarray:
 @contextmanager
 def open_text(path: str | Path) -> Iterator[TextIO]:
     """Open a UTF-8 text input for reading, as the csv module wants it
-    (``newline=""``); a byte sequence that is not UTF-8 raises
-    SchemaError naming the file."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    (``newline=""``), past a leading byte-order mark if it has one; a
+    byte sequence that is not UTF-8 raises SchemaError naming the file."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:

@@ -325,4 +325,4 @@ def fit_collapsed(z, d, x, basis, config: MixtureConfig | None = None) -> Mixtur
                 assignments=canonicalize_labels(assignments),
             )
 
-    return MixturePosterior(**draws.columns, seed=config.seed)
+    return MixturePosterior(**draws.columns)

@@ -5,7 +5,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from areamix import ConfigError, basis, cli, errors, spatial
+from areamix import (
+    ConfigError,
+    basis,
+    cli,
+    errors,
+    load_tabulation,
+    read_edge_list,
+    read_population_csv,
+    spatial,
+)
 from areamix.cli import main, read_config
 
 from conftest import DATA_DIR, write_csv
@@ -214,6 +223,16 @@ class TestBasisCommand:
         assert report2["from_cache"] is True
         assert report2["cache_sha256"] == report["cache_sha256"]
 
+    def test_manifest_lists_cache_named_another_way(self, fixture10, tmp_path, monkeypatch):
+        # basis_cache names the out directory by its absolute path, out by a relative one
+        monkeypatch.chdir(tmp_path)
+        cfg = fit_config(fixture10.resolve(), tmp_path, basis_cache=tmp_path / "o", out="o")
+        assert main(["basis", str(cfg)]) == 0
+        report = json.loads(Path("o/basis_report.json").read_text())
+        manifest = json.loads(Path("o/manifest.json").read_text())
+        assert Path("o", report["cache_file"]).exists()
+        assert manifest["outputs"] == sorted(["basis_report.json", report["cache_file"]])
+
     def test_fit_uses_cache_dir(self, fixture10, tmp_path):
         cache = tmp_path / "cache"
         cfg = fit_config(fixture10, tmp_path, basis_cache=str(cache), model="msm")
@@ -325,6 +344,40 @@ class TestSimulateCommand:
         assert len(study_lines) == 1 + 2 * 2
         summary_lines = (out / "study_summary.csv").read_text().splitlines()
         assert len(summary_lines) == 1 + 2 * 2
+
+
+def _table_contents(path):
+    table = load_tabulation(path)
+    arrays = (table.estimates, table.std_errors, table.sample_sizes)
+    return table.keys(), [a.tolist() for a in arrays]
+
+
+class TestByteOrderMark:
+    # Excel's "CSV UTF-8" export starts the file with a UTF-8 byte-order mark
+    BOM = b"\xef\xbb\xbf"
+
+    @pytest.mark.parametrize(
+        "name, read, skip_lines",
+        [
+            ("tabulation.csv", _table_contents, 0),
+            ("adjacency.txt", read_edge_list, 0),
+            ("population.csv", read_population_csv, 0),
+            ("population.csv", read_population_csv, 1),  # no header: the mark is on an area
+        ],
+        ids=["tabulation", "adjacency", "population", "population_no_header"],
+    )
+    def test_input_reads_as_without_mark(self, fixture10, tmp_path, name, read, skip_lines):
+        body = b"".join((fixture10 / name).read_bytes().splitlines(keepends=True)[skip_lines:])
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_bytes(body)
+        marked.write_bytes(self.BOM + body)
+        assert read(marked) == read(plain)
+
+    def test_config_reads_as_without_mark(self, fixture10, tmp_path):
+        body = fit_config(fixture10, tmp_path).read_bytes()
+        marked = tmp_path / "marked.cfg"
+        marked.write_bytes(self.BOM + body)
+        assert read_config(marked) == read_config(tmp_path / "run.cfg")
 
 
 class TestErrorExits:

@@ -110,3 +110,15 @@ def test_one_inverse_gamma_draw_per_sweep(
     data = (study.truth.z, study.truth.d, x) + ((basis,) if needs_basis else ())
     getattr(module, name)(*data, config)
     assert len(calls) == config.iterations
+
+
+def test_shared_sampler_settings_agree_on_defaults():
+    # the CLI makes one config key per field name, with the default of the
+    # first config class that has it, so every class sharing it must agree
+    defaults: dict[str, dict[str, object]] = {}
+    for model in MODELS.values():
+        for f in fields(model.config_class):
+            defaults.setdefault(f.name, {})[model.name] = f.default
+    assert len(defaults["sigma2_beta"]) == 3
+    disagree = {name: seen for name, seen in defaults.items() if len(set(seen.values())) > 1}
+    assert disagree == {}

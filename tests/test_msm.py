@@ -154,7 +154,6 @@ class TestFitMsm:
         assert fit.eta.shape == (10, basis.r)
         assert fit.sigma2_eta.shape == (10,)
         assert fit.y.shape == (10, log_table.n_rows)
-        assert fit.seed == 1
 
     def test_y_consistent_with_draws(self, small_inputs):
         # on an entry-level basis and on an area-level one (L = 3), whose

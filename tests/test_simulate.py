@@ -222,8 +222,6 @@ class TestStudyCsv:
             divergent=((0, "msm", "diverged"),),
             rand={},
             models=("msm", "fh"),
-            replicates=1,
-            master_seed=0,
         )
         path = tmp_path / "summary.csv"
         write_study_summary_csv(result, path)

@@ -13,8 +13,8 @@ class TestGridGraph:
         assert len(edges) == 3 * 3 + 4 * 2
 
     def test_identifier_format(self):
-        areas, _ = grid_graph(2, 2, state="19")
-        assert areas == ["19000", "19001", "19002", "19003"]
+        areas, _ = grid_graph(2, 2)
+        assert areas == ["06000", "06001", "06002", "06003"]
 
     def test_edges_reference_known_areas(self):
         areas, edges = grid_graph(4, 4)
@@ -32,7 +32,7 @@ class TestTwoFieldStudy:
         assert a.population == b.population
 
     def test_variances_defined_and_bounded(self):
-        study = two_field_study(4, 4, 4, seed=1, d_low=0.2, d_high=0.5)
+        study = two_field_study(4, 4, 4, seed=1)
         assert np.all(np.isfinite(study.truth.d))
         assert np.all((study.truth.d >= 0.2) & (study.truth.d <= 0.5))
 
